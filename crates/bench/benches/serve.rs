@@ -9,7 +9,9 @@
 //! and the ≥1M events/sec acceptance floor are pinned by
 //! `crates/bench/tests/bench_schema.rs`.
 
-use cordial::pipeline::Cordial;
+use std::sync::Arc;
+
+use cordial::pipeline::{Cordial, ServingModel};
 use cordial::CordialConfig;
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
 use cordial_served::{run_load, Client, LoadReport, ServeConfig, ServedStats, Server};
@@ -45,7 +47,7 @@ const RETRY_AFTER_MS: u32 = 20;
 /// this rate and the measured wire rate is the serving stack's true
 /// overhead.
 fn direct_replay(
-    pipeline: &Cordial,
+    model: &Arc<ServingModel>,
     dataset: &cordial_faultsim::FleetDataset,
     repeats: u32,
 ) -> f64 {
@@ -77,7 +79,7 @@ fn direct_replay(
             total += batch.len() as u64;
             monitors
                 .entry(device)
-                .or_insert_with(|| cordial::monitor::CordialMonitor::new(pipeline.clone(), budget))
+                .or_insert_with(|| cordial::monitor::CordialMonitor::new(Arc::clone(model), budget))
                 .ingest_all(batch);
         }
     }
@@ -90,10 +92,12 @@ fn main() {
     let config = CordialConfig::default()
         .with_seed(BENCH_SEED)
         .with_threads(4);
-    let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
+    let model = Arc::new(ServingModel::new(
+        Cordial::fit(&dataset, &split.train, &config).expect("train"),
+    ));
 
     let direct_repeats = 200u32;
-    let direct_rate = direct_replay(&pipeline, &dataset, direct_repeats);
+    let direct_rate = direct_replay(&model, &dataset, direct_repeats);
     println!("serve/direct_replay   {direct_rate:.0} events/sec (monitor path, no wire)");
 
     let serve_config = ServeConfig {
@@ -104,7 +108,7 @@ fn main() {
     };
     let shards = serve_config.shards;
     let server =
-        Server::bind(pipeline, serve_config, "127.0.0.1:0", None).expect("bind loopback daemon");
+        Server::bind(model, serve_config, "127.0.0.1:0", None).expect("bind loopback daemon");
     let addr = server.addr().to_string();
 
     let events = dataset.log.events();

@@ -323,13 +323,9 @@ fn print_monitor_summary(stats: &MonitorStats, tracked_banks: usize, seed_note: 
 }
 
 /// Writes a `--checkpoint` file atomically (pipeline + monitor state).
-fn write_checkpoint(
-    path: &Path,
-    monitor: &CordialMonitor,
-    pipeline: &Cordial,
-) -> Result<(), String> {
+fn write_checkpoint(path: &Path, monitor: &CordialMonitor) -> Result<(), String> {
     let file = io::CheckpointFile {
-        pipeline: pipeline.clone(),
+        pipeline: monitor.pipeline().clone(),
         state: monitor.checkpoint(),
     };
     io::write_json_atomic(path, &file)
@@ -351,20 +347,18 @@ fn run(args: &Args) -> Result<(), String> {
 
     let dataset = generate_fleet_dataset(&config, seed);
 
-    let (cordial, mut monitor) = match args.flags.get("resume") {
+    let mut monitor = match args.flags.get("resume") {
         Some(path) => {
             let (pipeline, state) = io::read_checkpoint(Path::new(path))?;
-            let monitor = CordialMonitor::restore(pipeline.clone(), state)
-                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            (pipeline, monitor)
+            CordialMonitor::restore(pipeline, state)
+                .map_err(|e| format!("cannot resume from {path}: {e}"))?
         }
         None => {
             let split = split_banks(&dataset, 0.7, seed);
             let pipeline_config = CordialConfig::with_model(model).with_seed(seed);
             let cordial = Cordial::fit(&dataset, &split.train, &pipeline_config)
                 .map_err(|e| format!("training failed: {e}"))?;
-            let monitor = CordialMonitor::new(cordial.clone(), SparingBudget::typical());
-            (cordial, monitor)
+            CordialMonitor::new(cordial, SparingBudget::typical())
         }
     };
 
@@ -380,7 +374,7 @@ fn run(args: &Args) -> Result<(), String> {
     let stats = monitor.stats();
     print_monitor_summary(&stats, monitor.tracked_banks(), &format!(" (seed {seed})"));
     if let Some(path) = args.flags.get("checkpoint") {
-        write_checkpoint(Path::new(path), &monitor, &cordial)?;
+        write_checkpoint(Path::new(path), &monitor)?;
         println!("checkpoint written to {path}");
     }
     Ok(())
@@ -408,21 +402,18 @@ fn monitor(args: &Args) -> Result<(), String> {
         println!("lossy parse: skipped {} malformed lines", warnings.len());
     }
 
-    let (cordial, mut mon) = match (args.flags.get("resume"), args.flags.get("pipeline")) {
+    let mut mon = match (args.flags.get("resume"), args.flags.get("pipeline")) {
         (Some(path), _) => {
             let (pipeline, state) = io::read_checkpoint(Path::new(path))?;
-            let monitor = CordialMonitor::restore(pipeline.clone(), state)
-                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            (pipeline, monitor)
+            CordialMonitor::restore(pipeline, state)
+                .map_err(|e| format!("cannot resume from {path}: {e}"))?
         }
         (None, Some(path)) => {
             let cordial = io::read_pipeline(Path::new(path))?;
             let guard = GuardConfig {
                 reorder_bound_ms: args.u64_flag("reorder-bound-ms", 300_000)?,
             };
-            let monitor = CordialMonitor::new(cordial.clone(), SparingBudget::typical())
-                .with_guard_config(guard);
-            (cordial, monitor)
+            CordialMonitor::new(cordial, SparingBudget::typical()).with_guard_config(guard)
         }
         (None, None) => return Err("monitor needs --pipeline FILE or --resume CKPT".into()),
     };
@@ -449,7 +440,7 @@ fn monitor(args: &Args) -> Result<(), String> {
         let offered = mon.events_offered();
         if checkpoint_every > 0 && offered % checkpoint_every == 0 {
             if let Some(path) = &checkpoint_path {
-                write_checkpoint(path, &mon, &cordial)?;
+                write_checkpoint(path, &mon)?;
             }
         }
         if abort_after > 0 && offered >= abort_after {
@@ -461,7 +452,7 @@ fn monitor(args: &Args) -> Result<(), String> {
         // Leave the reorder buffer intact inside the checkpoint: resuming
         // continues the stream exactly where it stopped.
         if let Some(path) = &checkpoint_path {
-            write_checkpoint(path, &mon, &cordial)?;
+            write_checkpoint(path, &mon)?;
             println!("checkpoint written to {}", path.display());
         }
         println!(
@@ -472,7 +463,7 @@ fn monitor(args: &Args) -> Result<(), String> {
     }
     mon.flush_guarded();
     if let Some(path) = &checkpoint_path {
-        write_checkpoint(path, &mon, &cordial)?;
+        write_checkpoint(path, &mon)?;
         println!("checkpoint written to {}", path.display());
     }
     let stats = mon.stats();

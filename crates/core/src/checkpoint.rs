@@ -133,6 +133,7 @@ mod tests {
     use crate::split::split_banks;
     use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
     use serde::Serialize;
+    use std::sync::Arc;
 
     fn sample_monitor() -> CordialMonitor {
         let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 17);
@@ -169,7 +170,7 @@ mod tests {
 
         // The migrated checkpoint restores to the same monitor state.
         let restored =
-            CordialMonitor::restore(monitor.pipeline().clone(), loaded).expect("restore");
+            CordialMonitor::restore(Arc::clone(monitor.model()), loaded).expect("restore");
         assert_eq!(restored.stats(), monitor.stats());
     }
 
@@ -180,7 +181,7 @@ mod tests {
         let (loaded, started_at) = load_checkpoint_json(&json).expect("load");
         assert_eq!(started_at, u64::from(CHECKPOINT_SCHEMA_VERSION));
         let restored =
-            CordialMonitor::restore(monitor.pipeline().clone(), loaded).expect("restore");
+            CordialMonitor::restore(Arc::clone(monitor.model()), loaded).expect("restore");
         assert_eq!(restored.stats(), monitor.stats());
     }
 

@@ -95,7 +95,7 @@ pub mod prelude {
         CheckpointVersionMismatch, CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint,
         MonitorStats, RejectReason, CHECKPOINT_SCHEMA_VERSION,
     };
-    pub use crate::pipeline::{Cordial, MitigationPlan};
+    pub use crate::pipeline::{Cordial, MitigationPlan, ServingModel};
     pub use crate::split::{split_banks, BankSplit};
     pub use cordial_faultsim::{
         generate_fleet_dataset, CoarsePattern, FleetDataset, FleetDatasetConfig, PatternKind,

@@ -9,6 +9,7 @@
 //! job.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -20,7 +21,7 @@ use cordial_topology::{BankAddress, CellAddress, RowId};
 
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
-use crate::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
+use crate::pipeline::{Cordial, MitigationPlan, PlanRequest, ServingModel};
 
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
@@ -273,11 +274,9 @@ impl StreamGuard {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CordialMonitor {
-    pipeline: Cordial,
-    /// Flattened SoA inference twins of the serving pipeline's ensembles,
-    /// rebuilt on construction, restore and pipeline swap (the pipeline
-    /// itself stays pure model state, so checkpoints are unaffected).
-    flat: FlatPipeline,
+    /// The serving model, shared with every other monitor of the same
+    /// host; never part of a checkpoint.
+    model: Arc<ServingModel>,
     engine: IsolationEngine,
     /// Per-bank incremental state.
     banks: BTreeMap<BankAddress, BankState>,
@@ -520,12 +519,13 @@ impl<'de> Deserialize<'de> for MonitorCheckpoint {
 }
 
 impl CordialMonitor {
-    /// Wraps a trained pipeline with a fresh isolation engine.
-    pub fn new(pipeline: Cordial, budget: SparingBudget) -> Self {
-        let flat = pipeline.flatten();
+    /// Wraps a serving model with a fresh isolation engine.
+    ///
+    /// Pass an `Arc<ServingModel>` to share one model between monitors; a
+    /// bare [`Cordial`] is wrapped (and flattened) for this monitor alone.
+    pub fn new(model: impl Into<Arc<ServingModel>>, budget: SparingBudget) -> Self {
         Self {
-            pipeline,
-            flat,
+            model: model.into(),
             engine: IsolationEngine::new(budget),
             banks: BTreeMap::new(),
             features: BTreeMap::new(),
@@ -635,7 +635,7 @@ impl CordialMonitor {
             self.stats.uers_missed += 1;
         }
 
-        let k_uers = self.pipeline.config().k_uers;
+        let k_uers = self.model.pipeline().config().k_uers;
         let state = self.banks.entry(bank).or_default();
         // Incremental features are valid only at the *first* completion of
         // the observation window: there the buffered events are exactly the
@@ -684,7 +684,7 @@ impl CordialMonitor {
                     let fast = if completes_window {
                         self.features
                             .get(&bank)
-                            .and_then(|f| f.vector(self.pipeline.classifier().geom()))
+                            .and_then(|f| f.vector(self.model.pipeline().classifier().geom()))
                     } else {
                         None
                     };
@@ -692,13 +692,18 @@ impl CordialMonitor {
                         Some(raw) => {
                             cordial_obs::counter!("monitor.features.incremental").inc();
                             let window = ObservedWindow::from_sorted_events(bank, &state.events);
-                            self.pipeline
-                                .plan_window_with_features(&window, &raw, Some(&self.flat))
+                            self.model.pipeline().plan_window_with_features(
+                                &window,
+                                &raw,
+                                Some(self.model.flat()),
+                            )
                         }
                         None => {
                             cordial_obs::counter!("monitor.features.reference_scan").inc();
                             let history = BankErrorHistory::new(bank, state.events.clone());
-                            self.pipeline.plan_with(&history, Some(&self.flat))
+                            self.model
+                                .pipeline()
+                                .plan_with(&history, Some(self.model.flat()))
                         }
                     };
                     if let Some(started) = started {
@@ -803,8 +808,8 @@ impl CordialMonitor {
     ) -> Vec<(BankAddress, MitigationPlan)> {
         let _span = cordial_obs::span!("ingest_all");
         let events: Vec<ErrorEvent> = events.into_iter().collect();
-        let k_uers = self.pipeline.config().k_uers;
-        let geom = self.pipeline.classifier().geom();
+        let k_uers = self.model.pipeline().config().k_uers;
+        let geom = self.model.pipeline().classifier().geom();
 
         struct Probe {
             /// This batch's events for the bank, up to its trigger point.
@@ -916,7 +921,10 @@ impl CordialMonitor {
                 Prepared::Slow(history) => PlanRequest::History(history),
             })
             .collect();
-        let batch_plans = self.pipeline.plan_batch_with(&requests, Some(&self.flat));
+        let batch_plans = self
+            .model
+            .pipeline()
+            .plan_batch_with(&requests, Some(self.model.flat()));
         let mut cache: BTreeMap<BankAddress, MitigationPlan> = triggering
             .iter()
             .map(|(bank, _)| *bank)
@@ -1118,7 +1126,7 @@ impl CordialMonitor {
     /// different [`CHECKPOINT_SCHEMA_VERSION`] (including pre-versioning
     /// checkpoints, which read back as version 0).
     pub fn restore(
-        pipeline: Cordial,
+        model: impl Into<Arc<ServingModel>>,
         checkpoint: MonitorCheckpoint,
     ) -> Result<Self, CheckpointVersionMismatch> {
         if checkpoint.schema_version != CHECKPOINT_SCHEMA_VERSION {
@@ -1144,10 +1152,8 @@ impl CordialMonitor {
                 )
             })
             .collect();
-        let flat = pipeline.flatten();
         Ok(Self {
-            pipeline,
-            flat,
+            model: model.into(),
             engine: IsolationEngine::from_snapshot(checkpoint.engine),
             banks,
             features,
@@ -1178,18 +1184,23 @@ impl CordialMonitor {
 
     /// The trained pipeline currently serving this monitor.
     pub fn pipeline(&self) -> &Cordial {
-        &self.pipeline
+        self.model.pipeline()
     }
 
-    /// Replaces the serving pipeline in place, returning the previous one.
+    /// The shared serving model behind [`CordialMonitor::pipeline`].
+    pub fn model(&self) -> &Arc<ServingModel> {
+        &self.model
+    }
+
+    /// Replaces the serving model in place, returning the previous one.
     ///
-    /// All monitor state (bank histories, isolation engine, stats, guard
-    /// buffer) is preserved: plans already applied stay applied, and only
-    /// banks that trigger *after* the swap are planned by the new model.
-    /// This is the model promotion/rollback hook a fleet supervisor uses.
-    pub fn swap_pipeline(&mut self, pipeline: Cordial) -> Cordial {
-        self.flat = pipeline.flatten();
-        std::mem::replace(&mut self.pipeline, pipeline)
+    /// A pointer store: all monitor state (bank histories, isolation
+    /// engine, stats, guard buffer) is preserved, plans already applied
+    /// stay applied, and only banks that trigger *after* the swap are
+    /// planned by the new model. This is the model promotion/rollback hook
+    /// a fleet supervisor uses.
+    pub fn swap_model(&mut self, model: Arc<ServingModel>) -> Arc<ServingModel> {
+        std::mem::replace(&mut self.model, model)
     }
 
     /// Number of banks currently tracked.
@@ -1447,7 +1458,7 @@ mod tests {
         let mut checkpoint = monitor.checkpoint();
         checkpoint.schema_version = CHECKPOINT_SCHEMA_VERSION + 1;
         let (_, template) = trained_monitor();
-        let err = CordialMonitor::restore(template.pipeline, checkpoint).unwrap_err();
+        let err = CordialMonitor::restore(template.model, checkpoint).unwrap_err();
         assert_eq!(
             err,
             CheckpointVersionMismatch {
@@ -1469,7 +1480,7 @@ mod tests {
         let checkpoint: MonitorCheckpoint = serde_json::from_str(&legacy).unwrap();
         assert_eq!(checkpoint.schema_version(), 0);
         let (_, template) = trained_monitor();
-        let err = CordialMonitor::restore(template.pipeline, checkpoint).unwrap_err();
+        let err = CordialMonitor::restore(template.model, checkpoint).unwrap_err();
         assert_eq!(err.found, 0);
         assert_eq!(err.expected, CHECKPOINT_SCHEMA_VERSION);
     }
@@ -1509,18 +1520,19 @@ mod tests {
     }
 
     #[test]
-    fn swap_pipeline_preserves_monitor_state() {
+    fn swap_model_preserves_monitor_state() {
         let (dataset, mut monitor) = trained_monitor();
         let events: Vec<ErrorEvent> = dataset.log.events().to_vec();
         let half = events.len() / 2;
         monitor.ingest_all(events[..half].iter().copied());
         let mid = monitor.stats();
         let (_, replacement) = trained_monitor();
-        let old = monitor.swap_pipeline(replacement.pipeline);
+        let old = monitor.swap_model(Arc::clone(&replacement.model));
+        assert!(Arc::ptr_eq(monitor.model(), &replacement.model));
         assert_eq!(monitor.stats(), mid, "swap must not disturb stats");
-        // Swapping back the original pipeline reproduces the single-model
+        // Swapping back the original model reproduces the single-model
         // run exactly.
-        monitor.swap_pipeline(old);
+        monitor.swap_model(old);
         monitor.ingest_all(events[half..].iter().copied());
         let (_, mut reference) = trained_monitor();
         reference.ingest_all(events.iter().copied());
@@ -1549,7 +1561,7 @@ mod tests {
             assert_eq!(checkpoint.schema_version(), CHECKPOINT_SCHEMA_VERSION);
 
             let (_, template) = trained_monitor();
-            let mut resumed = CordialMonitor::restore(template.pipeline, checkpoint).unwrap();
+            let mut resumed = CordialMonitor::restore(template.model, checkpoint).unwrap();
             for event in &events[kill_at..] {
                 resumed.ingest_guarded(*event);
             }

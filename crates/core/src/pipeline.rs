@@ -1,6 +1,8 @@
 //! The end-to-end Cordial pipeline (paper Fig. 5): observe → classify →
 //! predict → recommend a mitigation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, FleetDataset};
@@ -279,10 +281,49 @@ pub enum PlanRequest<'a> {
     },
 }
 
+/// A trained pipeline ready to serve: the [`Cordial`] model plus its
+/// [`FlatPipeline`] inference twins, flattened once when the model is
+/// built.
+///
+/// Serving hosts build one per model and share it behind an [`Arc`]: every
+/// [`CordialMonitor`](crate::monitor::CordialMonitor) of a daemon or fleet
+/// points at the same `ServingModel`, so onboarding a device, restoring it
+/// from a checkpoint and swapping its model are pointer operations, never
+/// a copy of the trees.
+#[derive(Debug)]
+pub struct ServingModel {
+    pipeline: Cordial,
+    flat: FlatPipeline,
+}
+
+impl ServingModel {
+    /// Wraps a trained pipeline, building its flat twins.
+    pub fn new(pipeline: Cordial) -> Self {
+        let flat = pipeline.flatten();
+        Self { pipeline, flat }
+    }
+
+    /// The trained pipeline.
+    pub fn pipeline(&self) -> &Cordial {
+        &self.pipeline
+    }
+
+    /// The flat inference twins of [`ServingModel::pipeline`].
+    pub(crate) fn flat(&self) -> &FlatPipeline {
+        &self.flat
+    }
+}
+
+impl From<Cordial> for Arc<ServingModel> {
+    fn from(pipeline: Cordial) -> Self {
+        Arc::new(ServingModel::new(pipeline))
+    }
+}
+
 /// Flattened SoA twins of a [`Cordial`] pipeline's fitted ensembles
-/// (classifier + per-pattern block models), built once per serving pipeline
-/// by [`Cordial::flatten`] and carried by the monitor — the pipeline itself
-/// stays pure model state (serde/PartialEq round-trips unchanged).
+/// (classifier + per-pattern block models), built once per model by
+/// [`Cordial::flatten`] and carried by its [`ServingModel`] — the pipeline
+/// itself stays pure model state (serde/PartialEq round-trips unchanged).
 ///
 /// Each entry is `None` when the underlying model family has no flat form
 /// (random forests) or a GBDT's threshold tables overflow `u16` bins.

@@ -2,12 +2,12 @@
 //! disorder is repaired exactly, unbounded disorder is survived, and the
 //! outcome split stays complete either way.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use cordial::monitor::{CordialMonitor, GuardConfig, IngestOutcome};
-use cordial::pipeline::Cordial;
+use cordial::pipeline::{Cordial, ServingModel};
 use cordial::split::split_banks;
 use cordial::CordialConfig;
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
@@ -17,19 +17,21 @@ use cordial_topology::{BankAddress, ColId, RowId};
 /// Milliseconds between consecutive true event times.
 const STEP_MS: u64 = 2_000;
 
-/// Fitting a pipeline dominates a proptest case, so train once and clone.
-fn pipeline() -> &'static Cordial {
-    static PIPELINE: OnceLock<Cordial> = OnceLock::new();
-    PIPELINE.get_or_init(|| {
+/// Fitting a pipeline dominates a proptest case, so train once and share.
+fn model() -> &'static Arc<ServingModel> {
+    static MODEL: OnceLock<Arc<ServingModel>> = OnceLock::new();
+    MODEL.get_or_init(|| {
         let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 11);
         let split = split_banks(&dataset, 0.7, 11);
         let config = CordialConfig::default().with_seed(11);
-        Cordial::fit(&dataset, &split.train, &config).expect("fit")
+        Cordial::fit(&dataset, &split.train, &config)
+            .expect("fit")
+            .into()
     })
 }
 
 fn guarded_monitor(reorder_bound_ms: u64) -> CordialMonitor {
-    CordialMonitor::new(pipeline().clone(), SparingBudget::typical())
+    CordialMonitor::new(Arc::clone(model()), SparingBudget::typical())
         .with_guard_config(GuardConfig { reorder_bound_ms })
 }
 

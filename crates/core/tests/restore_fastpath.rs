@@ -8,7 +8,7 @@
 //! this binary serialises on [`OBS_LOCK`] and works with before/after
 //! diffs rather than absolute values.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cordial::pipeline::Cordial;
 use cordial::prelude::*;
@@ -80,9 +80,7 @@ fn restore_then_plan_matches_the_uninterrupted_fast_path() {
     let checkpoint = first.checkpoint();
     let json = serde_json::to_string(&checkpoint).unwrap();
     let checkpoint: MonitorCheckpoint = serde_json::from_str(&json).unwrap();
-    let pipeline = first.pipeline().clone();
-
-    let mut resumed = CordialMonitor::restore(pipeline, checkpoint).unwrap();
+    let mut resumed = CordialMonitor::restore(Arc::clone(first.model()), checkpoint).unwrap();
     cordial_obs::set_enabled(true);
     let inc_before = counter("monitor.features.incremental");
     let scan_before = counter("monitor.features.reference_scan");
@@ -171,7 +169,7 @@ fn restored_monitor_keeps_the_checkpointed_caps() {
 
     let json = serde_json::to_string(&monitor.checkpoint()).unwrap();
     let checkpoint: MonitorCheckpoint = serde_json::from_str(&json).unwrap();
-    let mut restored = CordialMonitor::restore(monitor.pipeline().clone(), checkpoint).unwrap();
+    let mut restored = CordialMonitor::restore(Arc::clone(monitor.model()), checkpoint).unwrap();
 
     cordial_obs::set_enabled(true);
     let capped_before = counter("monitor.features.capped");

@@ -1041,6 +1041,7 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
     let split1 = split_banks(&phase1, 0.7, seed);
     let initial = cordial::pipeline::Cordial::fit(&phase1, &split1.train, &model_config)
         .map_err(|e| e.to_string())?;
+    let initial = std::sync::Arc::new(cordial::pipeline::ServingModel::new(initial));
 
     let relearn = RelearnConfig {
         refit_every_events: 1024,
@@ -1064,10 +1065,10 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
             relearn: Some(relearn),
             ..SupervisorConfig::default()
         },
-        initial.clone(),
+        std::sync::Arc::clone(&initial),
         [],
     );
-    let mut frozen = FleetSupervisor::new(SupervisorConfig::default(), initial.clone(), []);
+    let mut frozen = FleetSupervisor::new(SupervisorConfig::default(), initial, []);
 
     println!("[run] streaming phase 1 then phase 2 through adaptive and frozen supervisors...");
     for dataset in [&phase1, &phase2] {

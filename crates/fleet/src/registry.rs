@@ -7,14 +7,19 @@
 //! incumbent by a configured margin. The previous incumbent is retained as
 //! last-known-good so the supervisor can roll back the moment live
 //! precision degrades past its floor.
+//!
+//! Models are held as shared [`ServingModel`]s: promotion and rollback
+//! move `Arc` pointers, and every serving monitor points at the same
+//! incumbent.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use cordial::monitor::{CordialMonitor, GuardConfig};
-use cordial::pipeline::Cordial;
+use cordial::pipeline::ServingModel;
 use cordial::prelude::evaluate_pipeline;
 use cordial_faultsim::{FleetDataset, SparingBudget};
 use cordial_topology::BankAddress;
@@ -91,19 +96,20 @@ impl PromotionDecision {
     }
 }
 
-/// Shadow-scores a pipeline on the calibration banks: held-out F1/ICR from
+/// Shadow-scores a model on the calibration banks: held-out F1/ICR from
 /// the batch evaluator plus lead time and precision from a full monitor
-/// replay of the calibration banks' event stream.
+/// replay of the calibration banks' event stream. The shadow monitor
+/// shares `model`; nothing is copied.
 pub fn shadow_score(
-    pipeline: &Cordial,
+    model: &Arc<ServingModel>,
     dataset: &FleetDataset,
     calibration: &[BankAddress],
     budget: SparingBudget,
     guard: GuardConfig,
 ) -> ShadowScore {
-    let eval = evaluate_pipeline(pipeline, dataset, calibration);
+    let eval = evaluate_pipeline(model.pipeline(), dataset, calibration);
     let banks: BTreeSet<BankAddress> = calibration.iter().copied().collect();
-    let mut monitor = CordialMonitor::new(pipeline.clone(), budget).with_guard_config(guard);
+    let mut monitor = CordialMonitor::new(Arc::clone(model), budget).with_guard_config(guard);
     monitor.ingest_all_guarded(
         dataset
             .log
@@ -149,8 +155,8 @@ pub fn clears_gate(
 /// The incumbent/last-known-good pair plus lifecycle counters.
 #[derive(Debug, Clone)]
 pub struct ModelRegistry {
-    incumbent: Cordial,
-    last_known_good: Cordial,
+    incumbent: Arc<ServingModel>,
+    last_known_good: Arc<ServingModel>,
     promotions: u64,
     rejections: u64,
     rollbacks: u64,
@@ -159,9 +165,10 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Seeds the registry: the initial model is both incumbent and
     /// last-known-good.
-    pub fn new(initial: Cordial) -> Self {
+    pub fn new(initial: impl Into<Arc<ServingModel>>) -> Self {
+        let initial = initial.into();
         Self {
-            last_known_good: initial.clone(),
+            last_known_good: Arc::clone(&initial),
             incumbent: initial,
             promotions: 0,
             rejections: 0,
@@ -170,17 +177,17 @@ impl ModelRegistry {
     }
 
     /// The model currently serving.
-    pub fn incumbent(&self) -> &Cordial {
+    pub fn incumbent(&self) -> &Arc<ServingModel> {
         &self.incumbent
     }
 
     /// The rollback target.
-    pub fn last_known_good(&self) -> &Cordial {
+    pub fn last_known_good(&self) -> &Arc<ServingModel> {
         &self.last_known_good
     }
 
     /// Installs a new incumbent; the displaced one becomes last-known-good.
-    pub fn promote(&mut self, candidate: Cordial) {
+    pub fn promote(&mut self, candidate: Arc<ServingModel>) {
         self.last_known_good = std::mem::replace(&mut self.incumbent, candidate);
         self.promotions += 1;
     }
@@ -190,12 +197,12 @@ impl ModelRegistry {
         self.rejections += 1;
     }
 
-    /// Reverts to last-known-good and returns a clone of it for the caller
-    /// to swap into serving monitors.
-    pub fn rollback(&mut self) -> Cordial {
-        self.incumbent = self.last_known_good.clone();
+    /// Reverts to last-known-good and returns it for the caller to swap
+    /// into serving monitors.
+    pub fn rollback(&mut self) -> Arc<ServingModel> {
+        self.incumbent = Arc::clone(&self.last_known_good);
         self.rollbacks += 1;
-        self.incumbent.clone()
+        Arc::clone(&self.incumbent)
     }
 
     /// Gated promotions performed.

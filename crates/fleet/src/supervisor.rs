@@ -11,12 +11,12 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
 use cordial::monitor::{
     CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats,
 };
-use cordial::pipeline::Cordial;
+use cordial::pipeline::{Cordial, ServingModel};
 use cordial_faultsim::{FleetDataset, SparingBudget};
 use cordial_mcelog::ErrorEvent;
 use cordial_store::Store;
@@ -277,15 +277,16 @@ fn persist_checkpoint(store: &mut Store, id: DeviceId, checkpoint: &MonitorCheck
 }
 
 impl FleetSupervisor {
-    /// A supervisor serving `pipeline` on every pre-registered device.
-    /// Devices not listed are auto-registered on their first event.
+    /// A supervisor serving `model` on every pre-registered device; all
+    /// device monitors share it. Devices not listed are auto-registered on
+    /// their first event.
     pub fn new(
         config: SupervisorConfig,
-        pipeline: Cordial,
+        model: impl Into<Arc<ServingModel>>,
         devices: impl IntoIterator<Item = DeviceId>,
     ) -> Self {
         install_quiet_hook();
-        let registry = ModelRegistry::new(pipeline);
+        let registry = ModelRegistry::new(model);
         let relearn = config.relearn.map(|relearn_config| {
             touch_relearn_counters();
             RelearnState::new(relearn_config)
@@ -383,7 +384,7 @@ impl FleetSupervisor {
                 return None;
             }
         };
-        match CordialMonitor::restore(self.registry.incumbent().clone(), state.clone()) {
+        match CordialMonitor::restore(Arc::clone(self.registry.incumbent()), state.clone()) {
             Ok(monitor) => {
                 cordial_obs::counter!("fleet.store.restores").inc();
                 Some((monitor, state))
@@ -403,7 +404,7 @@ impl FleetSupervisor {
             Some((monitor, checkpoint)) => (monitor, checkpoint, true),
             None => {
                 let monitor =
-                    CordialMonitor::new(self.registry.incumbent().clone(), self.config.budget)
+                    CordialMonitor::new(Arc::clone(self.registry.incumbent()), self.config.budget)
                         .with_guard_config(self.config.guard);
                 let checkpoint = monitor.checkpoint();
                 (monitor, checkpoint, false)
@@ -578,7 +579,7 @@ impl FleetSupervisor {
     /// (inline jobs also settle here; background jobs settle at a later
     /// sweep). Thin windows count as skipped and wait out one cadence.
     fn start_refit(&mut self, state: &mut RelearnState, now_ms: u64) {
-        let incumbent = self.registry.incumbent();
+        let incumbent = self.registry.incumbent().pipeline();
         let job = build_job(&state.window, &state.config, incumbent.config(), incumbent);
         state.scheduler.note_started();
         let Some(mut job) = job else {
@@ -688,7 +689,7 @@ impl FleetSupervisor {
     }
 
     fn route_to_slot(&mut self, id: DeviceId, event: ErrorEvent, now_ms: u64) -> RouteOutcome {
-        let incumbent = self.registry.incumbent().clone();
+        let incumbent = self.registry.incumbent();
         let config = self.config;
         let Some(slot) = self.devices.get_mut(&id) else {
             return RouteOutcome::Shed;
@@ -702,7 +703,7 @@ impl FleetSupervisor {
             if cordial_obs::recorder::enabled() {
                 cordial_obs::recorder::instant("breaker", "probe", format!("device {id}"));
             }
-            Self::restore_slot(slot, &incumbent, &config);
+            Self::restore_slot(slot, incumbent, &config);
         }
         if !slot.breaker.state().is_serving() {
             slot.shed += 1;
@@ -731,7 +732,7 @@ impl FleetSupervisor {
                     "panic_contained",
                     &format!("device {id} panicked during ingest at t={now_ms}ms"),
                 );
-                Self::trip_slot(slot, id, &incumbent, &config, now_ms, "panic");
+                Self::trip_slot(slot, id, incumbent, &config, now_ms, "panic");
                 self.update_health_gauges();
                 return RouteOutcome::Tripped;
             }
@@ -741,7 +742,7 @@ impl FleetSupervisor {
         for (_, outcome) in &outcomes {
             let failure = matches!(outcome, IngestOutcome::Rejected { .. });
             if slot.breaker.record(now_ms, failure) {
-                Self::trip_slot(slot, id, &incumbent, &config, now_ms, "failure_rate");
+                Self::trip_slot(slot, id, incumbent, &config, now_ms, "failure_rate");
                 self.update_health_gauges();
                 return RouteOutcome::Tripped;
             }
@@ -764,7 +765,7 @@ impl FleetSupervisor {
     fn trip_slot(
         slot: &mut DeviceSlot,
         id: DeviceId,
-        incumbent: &Cordial,
+        incumbent: &Arc<ServingModel>,
         config: &SupervisorConfig,
         now_ms: u64,
         cause: &'static str,
@@ -795,12 +796,17 @@ impl FleetSupervisor {
         Self::restore_slot(slot, incumbent, config);
     }
 
-    fn restore_slot(slot: &mut DeviceSlot, incumbent: &Cordial, config: &SupervisorConfig) {
-        slot.monitor = match CordialMonitor::restore(incumbent.clone(), slot.checkpoint.clone()) {
+    fn restore_slot(
+        slot: &mut DeviceSlot,
+        incumbent: &Arc<ServingModel>,
+        config: &SupervisorConfig,
+    ) {
+        slot.monitor = match CordialMonitor::restore(Arc::clone(incumbent), slot.checkpoint.clone())
+        {
             Ok(monitor) => monitor,
             // Unreachable (the checkpoint was minted by this build), but a
             // fresh monitor is the safe degraded fallback.
-            Err(_) => CordialMonitor::new(incumbent.clone(), config.budget)
+            Err(_) => CordialMonitor::new(Arc::clone(incumbent), config.budget)
                 .with_guard_config(config.guard),
         };
         slot.since_checkpoint = 0;
@@ -824,14 +830,14 @@ impl FleetSupervisor {
     fn check_watchdogs(&mut self) {
         let deadline = self.config.watchdog_deadline_ms;
         let watermark = self.watermark_ms;
-        let incumbent = self.registry.incumbent().clone();
+        let incumbent = self.registry.incumbent();
         let config = self.config;
         for (id, slot) in self.devices.iter_mut() {
             if slot.breaker.state() == BreakerState::Closed
                 && watermark.saturating_sub(slot.last_seen_ms) > deadline
             {
                 cordial_obs::counter!("fleet.watchdog.trips").inc();
-                Self::trip_slot(slot, *id, &incumbent, &config, watermark, "watchdog_stall");
+                Self::trip_slot(slot, *id, incumbent, &config, watermark, "watchdog_stall");
             }
         }
         self.update_health_gauges();
@@ -841,10 +847,11 @@ impl FleetSupervisor {
     /// bank set; swaps it into every monitor only if it clears the gate.
     pub fn consider_candidate(
         &mut self,
-        candidate: Cordial,
+        candidate: impl Into<Arc<ServingModel>>,
         dataset: &FleetDataset,
         calibration: &[BankAddress],
     ) -> PromotionDecision {
+        let candidate = candidate.into();
         let budget = self.config.budget;
         let guard = self.config.guard;
         let candidate_score = shadow_score(&candidate, dataset, calibration, budget, guard);
@@ -888,19 +895,19 @@ impl FleetSupervisor {
 
     /// Installs `candidate` bypassing the gate — an operator override (and
     /// the chaos hook that lets tests exercise rollback).
-    pub fn force_promote(&mut self, candidate: Cordial) {
+    pub fn force_promote(&mut self, candidate: impl Into<Arc<ServingModel>>) {
         cordial_obs::counter!("fleet.model.forced").inc();
         if cordial_obs::recorder::enabled() {
             cordial_obs::recorder::instant("model", "force_promote", "operator override");
         }
-        self.adopt(candidate);
+        self.adopt(candidate.into());
     }
 
-    fn adopt(&mut self, candidate: Cordial) {
-        self.registry.promote(candidate.clone());
+    fn adopt(&mut self, candidate: Arc<ServingModel>) {
         for slot in self.devices.values_mut() {
-            slot.monitor.swap_pipeline(candidate.clone());
+            slot.monitor.swap_model(Arc::clone(&candidate));
         }
+        self.registry.promote(candidate);
         self.baseline = Some(PrecisionBaseline {
             banks_planned: self.total_banks_planned(),
             plans_absorbing: self.total_plans_absorbing(),
@@ -966,7 +973,7 @@ impl FleetSupervisor {
         }
         let good = self.registry.rollback();
         for slot in self.devices.values_mut() {
-            slot.monitor.swap_pipeline(good.clone());
+            slot.monitor.swap_model(Arc::clone(&good));
         }
         self.rolled_back = true;
         if let Some(state) = self.relearn.as_mut() {
@@ -1037,7 +1044,7 @@ impl FleetSupervisor {
 
     /// The model currently serving on every healthy device.
     pub fn incumbent(&self) -> &Cordial {
-        self.registry.incumbent()
+        self.registry.incumbent().pipeline()
     }
 
     /// Lifecycle counters (promotions / rejections / rollbacks).
@@ -1048,6 +1055,11 @@ impl FleetSupervisor {
     /// All registered devices in address order.
     pub fn device_ids(&self) -> Vec<DeviceId> {
         self.devices.keys().copied().collect()
+    }
+
+    /// The monitor serving one device.
+    pub fn monitor(&self, id: DeviceId) -> Option<&CordialMonitor> {
+        self.devices.get(&id).map(|slot| &slot.monitor)
     }
 
     /// A snapshot of one device.

@@ -56,7 +56,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cordial::prelude::{Cordial, CordialMonitor, MonitorCheckpoint, MonitorStats, SparingBudget};
+use cordial::prelude::{
+    CordialMonitor, MonitorCheckpoint, MonitorStats, ServingModel, SparingBudget,
+};
 use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceId};
 use cordial_mcelog::ErrorEvent;
 use cordial_store::{DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
@@ -198,7 +200,8 @@ struct ShardState {
 /// State shared between the accept loop, connection threads and workers.
 struct Shared {
     config: ServeConfig,
-    pipeline: Cordial,
+    /// The one serving model every device monitor shares.
+    model: Arc<ServingModel>,
     queues: Mutex<Vec<VecDeque<Vec<ErrorEvent>>>>,
     room: Vec<Condvar>,
     shards: Vec<Mutex<ShardState>>,
@@ -326,10 +329,9 @@ impl Shared {
         let mut state = lock(&self.shards[shard_idx]);
         for (device, events) in by_device {
             cordial_obs::counter!("served.events").add(events.len() as u64);
-            let monitor = state
-                .monitors
-                .entry(device)
-                .or_insert_with(|| CordialMonitor::new(self.pipeline.clone(), self.config.budget));
+            let monitor = state.monitors.entry(device).or_insert_with(|| {
+                CordialMonitor::new(Arc::clone(&self.model), self.config.budget)
+            });
             let planned = monitor.ingest_all(events);
             if planned.is_empty() {
                 continue;
@@ -546,14 +548,16 @@ impl Server {
     /// starts the shard workers plus accept loop.
     ///
     /// Bind to port 0 to let the OS pick; the chosen address is reported
-    /// by [`Server::addr`] / [`Server::metrics_addr`].
+    /// by [`Server::addr`] / [`Server::metrics_addr`]. `model` is the one
+    /// [`ServingModel`] every device monitor the daemon creates or
+    /// restores shares.
     ///
     /// # Errors
     ///
     /// Propagates listener bind failures and unreadable checkpoint files
     /// (a missing checkpoint directory is created, not an error).
     pub fn bind(
-        pipeline: Cordial,
+        model: impl Into<Arc<ServingModel>>,
         config: ServeConfig,
         addr: &str,
         metrics_addr: Option<&str>,
@@ -609,7 +613,7 @@ impl Server {
             accepted_batches: AtomicU64::new(0),
             rejected_batches: AtomicU64::new(0),
             connection_seq: AtomicU64::new(0),
-            pipeline,
+            model: model.into(),
             config,
         });
         if shared.store.is_some() {
@@ -758,7 +762,7 @@ fn restore_checkpoints(shared: &Shared) -> io::Result<()> {
             .ok_or_else(|| bad_data(format!("{}: no `state` field", path.display())))?;
         let (state, _was_version) = cordial::checkpoint::load_checkpoint_value(state)
             .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
-        let monitor = CordialMonitor::restore(shared.pipeline.clone(), state)
+        let monitor = CordialMonitor::restore(Arc::clone(&shared.model), state)
             .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
         let shard = shared.shard_of(device);
         lock(&shared.shards[shard]).monitors.insert(device, monitor);
@@ -788,7 +792,7 @@ fn restore_from_store(shared: &Shared) -> io::Result<()> {
                 .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
             let (state, _was_version) = cordial::checkpoint::load_checkpoint_value(value)
                 .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
-            let monitor = CordialMonitor::restore(shared.pipeline.clone(), state)
+            let monitor = CordialMonitor::restore(Arc::clone(&shared.model), state)
                 .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
             lock(&shared.shards[shared.shard_of(device)])
                 .monitors
@@ -963,5 +967,117 @@ fn metrics_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 thread::sleep(Duration::from_millis(5));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use cordial::prelude::{split_banks, Cordial, CordialConfig};
+    use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig};
+
+    fn trained(seed: u64) -> (Vec<ErrorEvent>, Cordial) {
+        let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), seed);
+        let split = split_banks(&dataset, 0.7, seed);
+        let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+        (dataset.log.events().to_vec(), cordial)
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cordial-served-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Sends `events` over the wire and waits until the shards have
+    /// ingested all of them.
+    fn feed(server: &Server, events: &[ErrorEvent]) {
+        let before = server.stats().events;
+        let mut client = Client::connect(&server.addr().to_string()).unwrap();
+        for batch in events.chunks(256) {
+            client.ingest_retrying(batch).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while server.stats().events < before + events.len() {
+            assert!(Instant::now() < deadline, "shards never drained");
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Asserts that every monitor of every shard points at the daemon's
+    /// one model, and returns how many monitors there are.
+    fn monitors_sharing_the_model(server: &Server) -> usize {
+        let mut monitors = 0;
+        for shard in &server.shared.shards {
+            for (device, monitor) in &lock(shard).monitors {
+                assert!(
+                    Arc::ptr_eq(monitor.model(), &server.shared.model),
+                    "device {device} holds its own model"
+                );
+                monitors += 1;
+            }
+        }
+        monitors
+    }
+
+    #[test]
+    fn monitors_created_and_restored_from_checkpoints_share_the_daemon_model() {
+        let (events, pipeline) = trained(71);
+        let half = events.len() / 2;
+        let dir = scratch_dir("ckpt");
+        let config = ServeConfig {
+            shards: 2,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let first = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+        feed(&first, &events[..half]);
+        let created = monitors_sharing_the_model(&first);
+        assert!(created > 1, "the stream must reach several devices");
+        first.trigger_shutdown();
+        assert_eq!(first.wait().unwrap().checkpoints_written, created);
+
+        let second = Server::bind(pipeline, config, "127.0.0.1:0", None).unwrap();
+        assert_eq!(monitors_sharing_the_model(&second), created);
+        feed(&second, &events[half..]);
+        assert!(monitors_sharing_the_model(&second) >= created);
+        second.kill();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn monitors_rebuilt_from_the_store_share_the_daemon_model() {
+        let (events, pipeline) = trained(73);
+        let third = events.len() / 3;
+        let dir = scratch_dir("store");
+        let config = ServeConfig {
+            shards: 2,
+            store_dir: Some(dir.clone()),
+            fsync: FsyncPolicy::Never,
+            ..ServeConfig::default()
+        };
+        // Graceful shutdown leaves a store checkpoint per device...
+        let first = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+        feed(&first, &events[..third]);
+        let created = monitors_sharing_the_model(&first);
+        assert!(created > 1, "the stream must reach several devices");
+        first.trigger_shutdown();
+        first.wait().unwrap();
+
+        // ...which the next boot restores; a kill then leaves only the
+        // journal tail for the boot after it to replay.
+        let second = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+        assert_eq!(monitors_sharing_the_model(&second), created);
+        feed(&second, &events[third..2 * third]);
+        let grown = monitors_sharing_the_model(&second);
+        second.kill();
+
+        let last = Server::bind(pipeline, config, "127.0.0.1:0", None).unwrap();
+        assert_eq!(monitors_sharing_the_model(&last), grown);
+        last.kill();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
