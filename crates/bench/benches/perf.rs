@@ -9,12 +9,15 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use cordial::crossrow::block_samples;
 use cordial::incremental::IncrementalBankFeatures;
-use cordial::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
-use cordial::{CordialConfig, ModelKind};
+use cordial::pipeline::{Cordial, MitigationPlan};
+use cordial::{CompiledModel, CordialConfig, ModelKind, TrainedModel};
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
+use cordial_faultsim::CoarsePattern;
 use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Timestamp};
 use cordial_topology::{BankAddress, ColId, HbmGeometry, NodeId, RowId};
+use cordial_trees::parallel::ordered_map;
 use cordial_trees::{
     BinnedDataset, Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
 };
@@ -123,7 +126,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 
     // The hard pin, measured interleaved so clock drift and cache warmth
-    // hit both modes equally.
+    // hit both modes equally, over enough pairs that the medians settle:
+    // a flat-inference `plan_batch` call is short enough for worker-spawn
+    // jitter to move a 15-pair median by more than the 2% bound.
     let time_once = |enabled: bool| {
         cordial_obs::set_enabled(enabled);
         let start = std::time::Instant::now();
@@ -136,7 +141,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     }
     let mut disabled = Vec::new();
     let mut enabled = Vec::new();
-    for _ in 0..15 {
+    for _ in 0..61 {
         disabled.push(time_once(false));
         enabled.push(time_once(true));
     }
@@ -332,21 +337,49 @@ fn warm_window_events(bank: BankAddress, n_ce: usize, uer_rows: [u32; 3]) -> Vec
     events
 }
 
+/// A copy of the monitor's fast-path plan, composed from the public stage
+/// APIs: a sorted window plus its incremental raw features, classified and
+/// (for aggregation patterns) block-predicted without a rescan. The
+/// production tail (`Cordial::plan_prepared` behind the crate-private
+/// window request) is not public, so the `ingest_plan` and `batch_plan`
+/// pairs time this copy, not the monitor's own call. The copy leaves out
+/// the production path's spans and counters; the hot-path suite runs with
+/// recording disabled, where those sites are no-ops on both sides. Equal
+/// to [`Cordial::plan`] on the same window; each pair pins that in setup.
+fn plan_from_features(
+    pipeline: &Cordial,
+    bank: BankAddress,
+    events: &[ErrorEvent],
+    raw: &[f64],
+) -> MitigationPlan {
+    let pattern = pipeline.classifier().classify_from_features(raw);
+    if !pattern.is_aggregation() {
+        return MitigationPlan::BankSparing;
+    }
+    let window = ObservedWindow::from_sorted_events(bank, events);
+    let mut rows = pipeline
+        .crossrow()
+        .predicted_rows_from_features(&window, pattern, raw);
+    rows.sort();
+    rows.dedup();
+    MitigationPlan::RowSparing { pattern, rows }
+}
+
 /// Ingest→plan on a warm window: the monitor's incremental fast path
 /// (clone warm state, absorb the trigger UER, assemble the feature vector,
-/// plan on the borrowed sorted buffer with flat inference) against the
-/// reference twin (clone + re-sort the buffer into a history, rescan the
-/// features, pointer inference). Both produce the identical plan — pinned
-/// in setup — so the pair measures only time.
-fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usize) -> HotpathPair {
+/// plan on the borrowed sorted buffer) against the reference twin (clone +
+/// re-sort the buffer into a history, rescan the features, plan). Both
+/// produce the identical plan — pinned in setup — so the pair measures
+/// only time.
+fn hotpath_ingest_plan(pipeline: &Cordial, sample_size: usize) -> HotpathPair {
     let geom = HbmGeometry::hbm2e_8hi();
     let bank = BankAddress::default();
 
     // A bank-level pattern (scattered UERs) keeps the plan at
     // `BankSparing`: row sparing would add 16 O(n) block scans to both
-    // twins and drown the feature/inference delta being measured. The
-    // classifier is data-dependent, so probe candidate layouts and pin the
-    // first that the fitted model calls bank-level.
+    // twins and drown the feature delta being measured. The classifier is
+    // data-dependent, so probe candidate layouts and pin the first that
+    // the fitted model calls bank-level.
     let rows = geom.rows;
     let candidates = [
         [5, rows / 2, rows - 10],
@@ -365,29 +398,24 @@ fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usi
     let (pre_events, trigger) = events.split_at(events.len() - 1);
     let trigger = trigger[0];
     let warm = IncrementalBankFeatures::replay(pre_events);
-
-    // Equivalence pin: the fast path's plan is identical to the reference.
-    let fast_plan = {
+    let fast_path = || {
         let mut state = warm.clone();
         state.absorb(&trigger);
         let raw = state.vector(&geom).expect("sorted stream");
-        let window = ObservedWindow::from_sorted_events(bank, &events);
-        pipeline.plan_window_with_features(&window, &raw, Some(flat))
+        plan_from_features(pipeline, bank, &events, &raw)
     };
+
+    // Equivalence pin: the fast path's plan is identical to the reference.
     let reference_plan = pipeline.plan(&BankErrorHistory::new(bank, events.clone()));
-    assert_eq!(fast_plan, reference_plan);
-    assert_eq!(fast_plan, MitigationPlan::BankSparing);
+    assert_eq!(fast_path(), reference_plan);
+    assert_eq!(reference_plan, MitigationPlan::BankSparing);
 
     let baseline_median_ns = measure_median_ns(sample_size, || {
         let history = BankErrorHistory::new(bank, events.clone());
         black_box(pipeline.plan(&history));
     });
     let optimised_median_ns = measure_median_ns(sample_size, || {
-        let mut state = warm.clone();
-        state.absorb(&trigger);
-        let raw = state.vector(&geom).expect("sorted stream");
-        let window = ObservedWindow::from_sorted_events(bank, &events);
-        black_box(pipeline.plan_window_with_features(&window, &raw, Some(flat)));
+        black_box(fast_path());
     });
     HotpathPair {
         key: "ingest_plan",
@@ -401,16 +429,17 @@ fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usi
 /// Banks the batch-plan bench serves per iteration.
 const BATCH_BANKS: usize = 12;
 
-/// Batch serving across a fleet of warm banks: the monitor's steady state,
-/// where every bank already carries current incremental features, against
-/// the reference twin that re-derives everything from raw histories.
-/// Baseline: [`Cordial::plan_batch`] over [`BankErrorHistory`] values
-/// (observe-cut, O(n) reference feature scan, pointer inference per bank).
-/// Optimised: [`Cordial::plan_batch_with`] over [`PlanRequest::Window`]
-/// requests carrying the incremental feature vectors, with flat inference.
+/// Batch serving across a fleet of warm banks, where every bank already
+/// carries current incremental features, against the reference twin that
+/// re-derives everything from raw histories. Baseline:
+/// [`Cordial::plan_batch`] over [`BankErrorHistory`] values (observe-cut,
+/// O(n) reference feature scan per bank). Optimised: the same plans built
+/// from each bank's incremental feature vector by [`plan_from_features`]
+/// on the borrowed sorted window, fanned out over the pipeline's worker
+/// threads.
 /// Identical plan vectors — pinned in setup — so the pair measures only
 /// time.
-fn hotpath_batch_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usize) -> HotpathPair {
+fn hotpath_batch_plan(pipeline: &Cordial, sample_size: usize) -> HotpathPair {
     let geom = HbmGeometry::hbm2e_8hi();
     let rows = geom.rows;
     let banks: Vec<BankAddress> = (0..BATCH_BANKS)
@@ -450,34 +479,112 @@ fn hotpath_batch_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usiz
                 .expect("sorted stream")
         })
         .collect();
-    let build_requests = || -> Vec<PlanRequest> {
-        banks
-            .iter()
-            .zip(&per_bank)
-            .zip(&features)
-            .map(|((&bank, events), features)| PlanRequest::Window {
-                window: ObservedWindow::from_sorted_events(bank, events),
-                features,
-            })
-            .collect()
+    let windows: Vec<(BankAddress, &[ErrorEvent], &[f64])> = banks
+        .iter()
+        .zip(&per_bank)
+        .zip(&features)
+        .map(|((&bank, events), features)| (bank, events.as_slice(), features.as_slice()))
+        .collect();
+    let plan_windows = || -> Vec<MitigationPlan> {
+        ordered_map(
+            &windows,
+            pipeline.config().n_threads,
+            |&(bank, events, raw)| plan_from_features(pipeline, bank, events, raw),
+        )
     };
 
     // Equivalence pin: identical plan vector from both twins.
-    let reference_plans = pipeline.plan_batch(&history_refs);
-    let fast_plans = pipeline.plan_batch_with(&build_requests(), Some(flat));
-    assert_eq!(fast_plans, reference_plans);
+    assert_eq!(plan_windows(), pipeline.plan_batch(&history_refs));
 
     let baseline_median_ns = measure_median_ns(sample_size, || {
         black_box(pipeline.plan_batch(black_box(&history_refs)));
     });
     let optimised_median_ns = measure_median_ns(sample_size, || {
-        let requests = build_requests();
-        black_box(pipeline.plan_batch_with(black_box(&requests), Some(flat)));
+        black_box(plan_windows());
     });
     HotpathPair {
         key: "batch_plan",
-        baseline: "reference_rescan_pointer",
+        baseline: "reference_rescan",
         optimised: "incremental_flat_batch",
+        baseline_median_ns,
+        optimised_median_ns,
+    }
+}
+
+/// Planned banks whose block rows the RF inference pair replays.
+const RF_PLANS: usize = 64;
+
+/// Random-forest block inference as a plan runs it: the 16 block-feature
+/// rows of each planned bank of the bench fleet, scored by the default
+/// pipeline's block model for the bank's classified pattern. Baseline: the
+/// pointer forest, row by row. Optimised: the flat form, one batch per
+/// plan. Bit-identical probabilities — pinned in setup — so the pair
+/// measures only time.
+fn hotpath_rf_inference(sample_size: usize) -> HotpathPair {
+    let dataset = bench_dataset();
+    let split = bench_split(&dataset);
+    let config = CordialConfig::default()
+        .with_seed(BENCH_SEED)
+        .with_threads(4);
+    let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
+    let (single, double) = pipeline.crossrow().models();
+    let spec = pipeline.crossrow().spec();
+    let geom = HbmGeometry::hbm2e_8hi();
+    let by_bank = dataset.log.by_bank();
+    // (block model, the plan's block rows) for every row-sparing plan.
+    let plans: Vec<(&CompiledModel, Vec<Vec<f64>>)> = by_bank
+        .values()
+        .filter_map(|history| {
+            let MitigationPlan::RowSparing { pattern, .. } = pipeline.plan(history) else {
+                return None;
+            };
+            let (window, future) = history.observe_until_k_uers(config.k_uers)?;
+            let model = match pattern {
+                CoarsePattern::DoubleRow => double,
+                _ => single,
+            };
+            let rows = block_samples(&window, future, &spec, &geom)
+                .into_iter()
+                .map(|(features, _)| features)
+                .collect();
+            Some((model, rows))
+        })
+        .take(RF_PLANS)
+        .collect();
+    assert!(!plans.is_empty(), "the bench fleet must plan row sparing");
+    let batches: Vec<(&CompiledModel, Vec<&[f64]>)> = plans
+        .iter()
+        .map(|(model, rows)| (*model, rows.iter().map(Vec::as_slice).collect()))
+        .collect();
+    for (model, rows) in &batches {
+        assert!(matches!(model.trained(), TrainedModel::Forest(_)));
+        for (row, flat) in rows.iter().zip(model.flat().predict_proba_batch(rows)) {
+            let pointer = model.trained().predict_proba(row);
+            assert!(
+                pointer
+                    .iter()
+                    .zip(&flat)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "flat form must be bit-identical before timing"
+            );
+        }
+    }
+    let baseline_median_ns = measure_median_ns(sample_size, || {
+        for (model, rows) in &batches {
+            for row in rows {
+                black_box(model.trained().predict_proba(black_box(row)));
+            }
+        }
+    });
+    let optimised_median_ns = measure_median_ns(sample_size, || {
+        for (model, rows) in &batches {
+            black_box(model.flat().predict_proba_batch(black_box(rows)));
+        }
+    });
+    HotpathPair {
+        key: "rf_inference",
+        baseline: "pointer_per_row",
+        optimised: "flat_plan_batch",
         baseline_median_ns,
         optimised_median_ns,
     }
@@ -487,10 +594,10 @@ fn hotpath_batch_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usiz
 const INFER_BATCH: usize = 256;
 
 /// Batch `predict_proba` over a fitted boosted ensemble: per-row
-/// pointer-chasing node traversal vs the flat SoA twin's batch kernel
-/// (bin every row once into a shared buffer, then walk the packed node
-/// records). Bit-identical probabilities — pinned in setup — so the pair
-/// measures only time.
+/// pointer-chasing node traversal vs the flat form's batch kernel (bin
+/// every row once into a shared buffer, then each tree walks every row).
+/// Bit-identical probabilities — pinned in setup — so the pair measures
+/// only time.
 fn hotpath_inference(
     key: &'static str,
     pointer: &dyn Classifier,
@@ -578,6 +685,10 @@ fn bench_hotpath(c: &mut Criterion) {
     if !c.matches("hotpath") {
         return;
     }
+    // Neither twin of a pair records telemetry: the plan pairs' baselines
+    // run the instrumented production path, their optimised twins a copy
+    // without instrumentation (see `plan_from_features`).
+    cordial_obs::set_enabled(false);
     let sample_size = c.sample_size();
     let dataset = bench_dataset();
     let split = bench_split(&dataset);
@@ -585,10 +696,10 @@ fn bench_hotpath(c: &mut Criterion) {
         .with_seed(BENCH_SEED)
         .with_threads(4);
     let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
-    let flat = pipeline.flatten();
     let mut pairs = vec![
-        hotpath_ingest_plan(&pipeline, &flat, sample_size),
-        hotpath_batch_plan(&pipeline, &flat, sample_size),
+        hotpath_ingest_plan(&pipeline, sample_size),
+        hotpath_batch_plan(&pipeline, sample_size),
+        hotpath_rf_inference(sample_size),
     ];
 
     let data = synthetic_dataset(2000, 27, 3);
@@ -613,7 +724,7 @@ fn bench_hotpath(c: &mut Criterion) {
         &GbdtConfig::default().with_rounds(40).with_seed(BENCH_SEED),
     )
     .expect("fit");
-    let gbdt_flat = FlatEnsemble::from_gbdt(&gbdt).expect("bin tables fit u16");
+    let gbdt_flat = FlatEnsemble::from_gbdt(&gbdt);
     pairs.push(hotpath_inference(
         "gbdt_inference",
         &gbdt,

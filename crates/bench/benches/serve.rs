@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use cordial::pipeline::{Cordial, ServingModel};
+use cordial::pipeline::Cordial;
 use cordial::CordialConfig;
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
 use cordial_served::{run_load, Client, LoadReport, ServeConfig, ServedStats, Server};
@@ -47,7 +47,7 @@ const RETRY_AFTER_MS: u32 = 20;
 /// this rate and the measured wire rate is the serving stack's true
 /// overhead.
 fn direct_replay(
-    model: &Arc<ServingModel>,
+    model: &Arc<Cordial>,
     dataset: &cordial_faultsim::FleetDataset,
     repeats: u32,
 ) -> f64 {
@@ -92,9 +92,7 @@ fn main() {
     let config = CordialConfig::default()
         .with_seed(BENCH_SEED)
         .with_threads(4);
-    let model = Arc::new(ServingModel::new(
-        Cordial::fit(&dataset, &split.train, &config).expect("train"),
-    ));
+    let model = Arc::new(Cordial::fit(&dataset, &split.train, &config).expect("train"));
 
     let direct_repeats = 200u32;
     let direct_rate = direct_replay(&model, &dataset, direct_repeats);

@@ -13,13 +13,14 @@
 use serde_json::Value;
 
 /// Benches every artefact must carry, with the speedup floor each one is
-/// pinned to. The inference kernel pairs are trajectory records (the
-/// pointer walk over these shallow production trees is already
-/// near-optimal, see DESIGN.md §12) and only pin a sanity floor; the two
-/// serving-path pairs pin the acceptance ratios.
+/// pinned to. The boosted inference kernel pairs are trajectory records
+/// (the pointer walk over these shallow trees is already near-optimal, see
+/// DESIGN.md §12) and only pin a sanity floor; the two serving-path pairs
+/// and the default Random Forest's block inference pin acceptance ratios.
 const REQUIRED_BENCHES: &[(&str, f64)] = &[
     ("ingest_plan", 5.0),
     ("batch_plan", 2.0),
+    ("rf_inference", 1.2),
     ("lgbm_inference", 0.1),
     ("gbdt_inference", 0.1),
 ];

@@ -13,12 +13,12 @@ use serde::{Deserialize, Serialize};
 use crate::config::CordialConfig;
 use crate::error::CordialError;
 use crate::features::{bank_features, mask_bank_features, FeatureMask, BANK_FEATURE_NAMES};
-use crate::model::TrainedModel;
+use crate::model::CompiledModel;
 
 /// A trained failure-pattern classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatternClassifier {
-    model: TrainedModel,
+    model: CompiledModel,
     geom: HbmGeometry,
     k_uers: usize,
     mask: FeatureMask,
@@ -85,12 +85,12 @@ impl PatternClassifier {
         cordial_obs::counter!("fit.classifier_samples").add(data.n_rows() as u64);
         let model = {
             let _span = cordial_obs::span!("model");
-            config.model.fit_threaded_warm(
+            CompiledModel::new(config.model.fit_threaded_warm(
                 &data,
                 config.seed,
                 config.n_threads,
-                previous.map(|p| &p.model),
-            )?
+                previous.map(|p| p.model.trained()),
+            )?)
         };
         Ok(Self {
             model,
@@ -107,38 +107,20 @@ impl PatternClassifier {
 
     /// Classifies an observed window.
     pub fn classify_window(&self, window: &ObservedWindow<'_>) -> CoarsePattern {
-        self.classify_masked(bank_features(window, &self.geom), None)
+        self.classify_from_features(&bank_features(window, &self.geom))
     }
 
     /// Classifies from a pre-computed **raw** (unmasked) §IV-B feature
-    /// vector, optionally through a flattened model twin. The monitor's
-    /// incremental path computes features once and shares them between
-    /// classification and cross-row prediction; the flat twin produces
-    /// bit-identical probabilities, so the predicted class never differs
-    /// from the pointer-based model.
-    pub fn classify_from_features(
-        &self,
-        raw_features: &[f64],
-        flat: Option<&cordial_trees::FlatEnsemble>,
-    ) -> CoarsePattern {
-        self.classify_masked(raw_features.to_vec(), flat)
-    }
-
-    fn classify_masked(
-        &self,
-        mut features: Vec<f64>,
-        flat: Option<&cordial_trees::FlatEnsemble>,
-    ) -> CoarsePattern {
+    /// vector. The plan path computes features once and shares them
+    /// between classification and cross-row prediction.
+    pub fn classify_from_features(&self, raw_features: &[f64]) -> CoarsePattern {
+        let mut features = raw_features.to_vec();
         mask_bank_features(&mut features, &self.mask);
-        let class = match flat {
-            Some(flat) => flat.predict(&features),
-            None => self.model.predict(&features),
-        };
-        CoarsePattern::from_class_index(class)
+        CoarsePattern::from_class_index(self.model.predict(&features))
     }
 
-    /// The trained model (flat-twin construction).
-    pub fn model(&self) -> &TrainedModel {
+    /// The trained model.
+    pub fn model(&self) -> &CompiledModel {
         &self.model
     }
 
@@ -169,7 +151,7 @@ impl PatternClassifier {
         BANK_FEATURE_NAMES
             .iter()
             .copied()
-            .zip(self.model.feature_importance())
+            .zip(self.model.trained().feature_importance())
             .collect()
     }
 

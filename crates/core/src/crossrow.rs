@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use cordial_faultsim::{CoarsePattern, FleetDataset};
 use cordial_mcelog::{ErrorEvent, ObservedWindow};
 use cordial_topology::{BankAddress, HbmGeometry, RowId};
-use cordial_trees::{Classifier, Dataset};
+use cordial_trees::Dataset;
 
 use crate::classifier::geometry_of;
 use crate::config::CordialConfig;
@@ -19,7 +19,7 @@ use crate::error::CordialError;
 use crate::features::{
     bank_features, block_features, mask_bank_features, FeatureMask, BLOCK_FEATURE_LEN,
 };
-use crate::model::TrainedModel;
+use crate::model::{CompiledModel, TrainedModel};
 
 /// Geometry of the cross-row prediction window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,8 +85,8 @@ impl Default for BlockSpec {
 /// and "Double-row Predictor").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrossRowPredictor {
-    single: TrainedModel,
-    double: TrainedModel,
+    single: CompiledModel,
+    double: CompiledModel,
     spec: BlockSpec,
     single_threshold: f64,
     double_threshold: f64,
@@ -185,20 +185,24 @@ impl CrossRowPredictor {
         cordial_obs::counter!("fit.crossrow_samples").add(pooled.n_rows() as u64);
         let fit_or_pool = |own: &Dataset,
                            prev: Option<&TrainedModel>|
-         -> Result<(TrainedModel, f64), CordialError> {
+         -> Result<(CompiledModel, f64), CordialError> {
             let _span = cordial_obs::span!("model");
             let source = if own.is_empty() { &pooled } else { own };
-            let model =
-                config
-                    .model
-                    .fit_threaded_warm(source, config.seed, config.n_threads, prev)?;
+            let model = CompiledModel::new(config.model.fit_threaded_warm(
+                source,
+                config.seed,
+                config.n_threads,
+                prev,
+            )?);
             let threshold = config
                 .block_threshold
                 .unwrap_or_else(|| calibrate_threshold(&model, source));
             Ok((model, threshold))
         };
-        let (single, single_threshold) = fit_or_pool(&single, previous.map(|p| &p.single))?;
-        let (double, double_threshold) = fit_or_pool(&double, previous.map(|p| &p.double))?;
+        let (single, single_threshold) =
+            fit_or_pool(&single, previous.map(|p| p.single.trained()))?;
+        let (double, double_threshold) =
+            fit_or_pool(&double, previous.map(|p| p.double.trained()))?;
         Ok(Self {
             single,
             double,
@@ -231,6 +235,22 @@ impl CrossRowPredictor {
         self.spec
     }
 
+    /// The block model of an aggregation pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`CoarsePattern::Scattered`] — scattered banks never
+    /// reach cross-row prediction (§IV-C).
+    fn model(&self, pattern: CoarsePattern) -> &CompiledModel {
+        match pattern {
+            CoarsePattern::SingleRow => &self.single,
+            CoarsePattern::DoubleRow => &self.double,
+            CoarsePattern::Scattered => {
+                panic!("cross-row prediction is not defined for scattered banks")
+            }
+        }
+    }
+
     /// Per-block probability of a future UER for an observed window, using
     /// the predictor of the given aggregation pattern.
     ///
@@ -239,32 +259,19 @@ impl CrossRowPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `pattern` is [`CoarsePattern::Scattered`] — scattered banks
-    /// never reach cross-row prediction (§IV-C).
+    /// Panics if `pattern` is [`CoarsePattern::Scattered`].
     pub fn predict_block_proba(
         &self,
         window: &ObservedWindow<'_>,
         pattern: CoarsePattern,
     ) -> Vec<f64> {
-        let model = match pattern {
-            CoarsePattern::SingleRow => &self.single,
-            CoarsePattern::DoubleRow => &self.double,
-            CoarsePattern::Scattered => {
-                panic!("cross-row prediction is not defined for scattered banks")
+        let model = self.model(pattern);
+        match window.last_uer_row() {
+            Some(anchor) => {
+                self.block_proba(window, model, &bank_features(window, &self.geom), anchor)
             }
-        };
-        let Some(anchor) = window.last_uer_row() else {
-            return vec![0.0; self.spec.n_blocks];
-        };
-        let mut bank_feats = bank_features(window, &self.geom);
-        mask_bank_features(&mut bank_feats, &self.mask);
-        (0..self.spec.n_blocks)
-            .map(|index| {
-                let (lo, hi) = self.spec.block_bounds(anchor, index);
-                let features = block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64);
-                model.predict_proba(&features)[1]
-            })
-            .collect()
+            None => vec![0.0; self.spec.n_blocks],
+        }
     }
 
     /// Per-block boolean predictions (probability ≥ the pattern's calibrated
@@ -284,27 +291,15 @@ impl CrossRowPredictor {
         window: &ObservedWindow<'_>,
         pattern: CoarsePattern,
     ) -> Vec<RowId> {
-        let Some(anchor) = window.last_uer_row() else {
-            return Vec::new();
-        };
-        let mut rows = Vec::new();
-        for (index, positive) in self.predict_blocks(window, pattern).iter().enumerate() {
-            if *positive {
-                rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
-            }
-        }
-        rows
+        self.predicted_rows_from_features(window, pattern, &bank_features(window, &self.geom))
     }
 
     /// [`CrossRowPredictor::predicted_rows`] from a pre-computed **raw**
-    /// (unmasked) §IV-B bank feature vector, optionally through flattened
-    /// model twins.
+    /// (unmasked) §IV-B bank feature vector.
     ///
     /// This is the plan hot path: [`crate::pipeline::Cordial`] computes the
     /// bank features once per plan and shares them between classification
     /// and block prediction instead of rescanning the window per stage.
-    /// The flat twins produce bit-identical probabilities, so the rows
-    /// never differ from the pointer-based path.
     ///
     /// # Panics
     ///
@@ -314,64 +309,57 @@ impl CrossRowPredictor {
         window: &ObservedWindow<'_>,
         pattern: CoarsePattern,
         raw_features: &[f64],
-        flat: Option<&crate::pipeline::FlatPipeline>,
     ) -> Vec<RowId> {
-        let (model, flat_model) = match pattern {
-            CoarsePattern::SingleRow => (&self.single, flat.and_then(|f| f.single.as_ref())),
-            CoarsePattern::DoubleRow => (&self.double, flat.and_then(|f| f.double.as_ref())),
-            CoarsePattern::Scattered => {
-                panic!("cross-row prediction is not defined for scattered banks")
-            }
-        };
+        let model = self.model(pattern);
         let threshold = self.threshold(pattern);
         let Some(anchor) = window.last_uer_row() else {
             return Vec::new();
         };
+        let started = std::time::Instant::now();
+        let probas = self.block_proba(window, model, raw_features, anchor);
+        // Wall-clock values vary run to run but the observation *count* is
+        // deterministic, which is all the telemetry digest pins.
+        cordial_obs::histogram!("plan.flat_infer.seconds", cordial_obs::DURATION_BOUNDS)
+            .observe(started.elapsed().as_secs_f64());
+        let mut rows = Vec::new();
+        for (index, proba) in probas.iter().enumerate() {
+            if *proba >= threshold {
+                rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
+            }
+        }
+        rows
+    }
+
+    /// Block probabilities of a window anchored at `anchor`, from its raw
+    /// bank features. The feature rows of all blocks go through the flat
+    /// ensemble as one batch, so each tree walks every block row before
+    /// the next tree starts.
+    fn block_proba(
+        &self,
+        window: &ObservedWindow<'_>,
+        model: &CompiledModel,
+        raw_features: &[f64],
+        anchor: RowId,
+    ) -> Vec<f64> {
         let mut bank_feats = raw_features.to_vec();
         mask_bank_features(&mut bank_feats, &self.mask);
-        let mut rows = Vec::new();
-        let flat_timer = flat_model.map(|_| std::time::Instant::now());
         let block_rows: Vec<Vec<f64>> = (0..self.spec.n_blocks)
             .map(|index| {
                 let (lo, hi) = self.spec.block_bounds(anchor, index);
                 block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64)
             })
             .collect();
-        let probas: Vec<f64> = match flat_model {
-            // All blocks of a plan go through the flat ensemble as one
-            // batch: rows share a single binning buffer and traverse the
-            // packed node pool together ([`FlatEnsemble::predict_proba_batch`]
-            // is bit-identical to the per-row path).
-            Some(flat_model) => {
-                let refs: Vec<&[f64]> = block_rows.iter().map(Vec::as_slice).collect();
-                flat_model
-                    .predict_proba_batch(&refs)
-                    .iter()
-                    .map(|proba| proba[1])
-                    .collect()
-            }
-            None => block_rows
-                .iter()
-                .map(|features| model.predict_proba(features)[1])
-                .collect(),
-        };
-        for (index, proba) in probas.iter().enumerate() {
-            if *proba >= threshold {
-                rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
-            }
-        }
-        if let Some(start) = flat_timer {
-            // Wall-clock values vary run to run but the observation *count*
-            // is deterministic, which is all the telemetry digest pins.
-            cordial_obs::histogram!("plan.flat_infer.seconds", cordial_obs::DURATION_BOUNDS)
-                .observe(start.elapsed().as_secs_f64());
-        }
-        rows
+        let refs: Vec<&[f64]> = block_rows.iter().map(Vec::as_slice).collect();
+        model
+            .flat()
+            .predict_proba_batch(&refs)
+            .iter()
+            .map(|proba| proba[1])
+            .collect()
     }
 
-    /// The per-pattern block models, `(single, double)` (flat-twin
-    /// construction).
-    pub(crate) fn models(&self) -> (&TrainedModel, &TrainedModel) {
+    /// The per-pattern block models, `(single, double)`.
+    pub fn models(&self) -> (&CompiledModel, &CompiledModel) {
         (&self.single, &self.double)
     }
 }
@@ -385,9 +373,13 @@ impl CrossRowPredictor {
 /// Preferring the lowest near-optimal threshold trades a sliver of F1 for
 /// isolation coverage — spare rows are cheap relative to an unabsorbed UER,
 /// which is the economics the paper's ICR metric encodes.
-fn calibrate_threshold(model: &TrainedModel, data: &Dataset) -> f64 {
-    let probs: Vec<f64> = (0..data.n_rows())
-        .map(|i| model.predict_proba(data.row(i))[1])
+fn calibrate_threshold(model: &CompiledModel, data: &Dataset) -> f64 {
+    let rows: Vec<&[f64]> = (0..data.n_rows()).map(|i| data.row(i)).collect();
+    let probs: Vec<f64> = model
+        .flat()
+        .predict_proba_batch(&rows)
+        .iter()
+        .map(|proba| proba[1])
         .collect();
     let mut candidates: Vec<f64> = probs.clone();
     candidates.sort_by(f64::total_cmp);

@@ -18,7 +18,7 @@ use cordial_trees::{Classifier, Dataset};
 
 use crate::config::CordialConfig;
 use crate::error::CordialError;
-use crate::model::TrainedModel;
+use crate::model::CompiledModel;
 
 /// Names of the hierarchical in-row features (row, bank and HBM levels).
 pub const IN_ROW_FEATURE_NAMES: [&str; 11] = [
@@ -38,7 +38,7 @@ pub const IN_ROW_FEATURE_NAMES: [&str; 11] = [
 /// A trained hierarchical in-row predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalInRowPredictor {
-    model: TrainedModel,
+    model: CompiledModel,
     threshold: f64,
     k_uers: usize,
 }
@@ -165,9 +165,11 @@ impl HierarchicalInRowPredictor {
         if data.is_empty() {
             return Err(CordialError::NoTrainableBanks);
         }
-        let model = config
-            .model
-            .fit_threaded(&data, config.seed, config.n_threads)?;
+        let model = CompiledModel::new(config.model.fit_threaded(
+            &data,
+            config.seed,
+            config.n_threads,
+        )?);
         // Recall-friendly fixed threshold: in-row methods isolate every row
         // their model flags — the candidate set is tiny anyway.
         Ok(Self {

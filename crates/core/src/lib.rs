@@ -76,7 +76,7 @@ pub mod split;
 
 pub use config::CordialConfig;
 pub use error::CordialError;
-pub use model::{ModelKind, TrainedModel};
+pub use model::{CompiledModel, ModelKind, TrainedModel};
 
 /// One-stop imports for typical use.
 pub mod prelude {
@@ -90,12 +90,12 @@ pub mod prelude {
     pub use crate::features::FeatureScratch;
     pub use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
     pub use crate::isolation::icr;
-    pub use crate::model::{ModelKind, TrainedModel};
+    pub use crate::model::{CompiledModel, ModelKind, TrainedModel};
     pub use crate::monitor::{
         CheckpointVersionMismatch, CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint,
         MonitorStats, RejectReason, CHECKPOINT_SCHEMA_VERSION,
     };
-    pub use crate::pipeline::{Cordial, MitigationPlan, ServingModel};
+    pub use crate::pipeline::{Cordial, MitigationPlan};
     pub use crate::split::{split_banks, BankSplit};
     pub use cordial_faultsim::{
         generate_fleet_dataset, CoarsePattern, FleetDataset, FleetDatasetConfig, PatternKind,

@@ -238,17 +238,74 @@ impl TrainedModel {
         }
     }
 
-    /// Flattens the model into a branchless SoA inference twin
-    /// ([`FlatEnsemble`]). `None` for random forests (no boosted-ensemble
-    /// flat form) and for GBDTs whose per-feature threshold tables would
-    /// overflow `u16` bin indices; callers keep this pointer model as the
-    /// reference path either way.
-    pub fn flatten(&self) -> Option<FlatEnsemble> {
+    /// Flattens the model into its branchless inference form
+    /// ([`FlatEnsemble`]). Infallible for every family.
+    pub fn flatten(&self) -> FlatEnsemble {
         match self {
-            TrainedModel::Forest(_) => None,
+            TrainedModel::Forest(m) => FlatEnsemble::from_forest(m),
             TrainedModel::Xgb(m) => FlatEnsemble::from_gbdt(m),
-            TrainedModel::Lgbm(m) => Some(FlatEnsemble::from_lightgbm(m)),
+            TrainedModel::Lgbm(m) => FlatEnsemble::from_lightgbm(m),
         }
+    }
+}
+
+/// A fitted model as the pipeline holds it: the pointer model, which is
+/// the training structure, the persisted form and the test oracle, plus
+/// its flat inference form, which answers every prediction.
+///
+/// The flat form is built when the model is fitted or deserialised and is
+/// never persisted: a `CompiledModel` serialises exactly as its bare
+/// [`TrainedModel`], so pipeline JSON is unchanged, and equality compares
+/// the pointer models only (the flat form is a function of them).
+#[derive(Debug, Clone)]
+pub struct CompiledModel {
+    trained: TrainedModel,
+    flat: FlatEnsemble,
+}
+
+impl CompiledModel {
+    /// Flattens `trained` and keeps both forms.
+    pub fn new(trained: TrainedModel) -> Self {
+        let flat = trained.flatten();
+        Self { trained, flat }
+    }
+
+    /// The pointer model (warm starts, feature importances, test oracle).
+    pub fn trained(&self) -> &TrainedModel {
+        &self.trained
+    }
+
+    /// The flat inference form.
+    pub fn flat(&self) -> &FlatEnsemble {
+        &self.flat
+    }
+}
+
+impl PartialEq for CompiledModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.trained == other.trained
+    }
+}
+
+impl Serialize for CompiledModel {
+    fn to_value(&self) -> serde::Value {
+        self.trained.to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for CompiledModel {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        TrainedModel::from_value(value).map(Self::new)
+    }
+}
+
+impl Classifier for CompiledModel {
+    fn n_classes(&self) -> usize {
+        self.flat.n_classes()
+    }
+
+    fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
+        self.flat.predict_proba(row)
     }
 }
 
@@ -312,6 +369,27 @@ mod tests {
             .map(|m| m.short_name())
             .collect();
         assert_eq!(names, ["LGBM", "XGB", "RF"]);
+    }
+
+    #[test]
+    fn compiled_model_predicts_like_its_pointer_model_and_serialises_as_it() {
+        let data = blobs();
+        for kind in ModelKind::paper_lineup() {
+            let trained = kind.fit(&data, 1).unwrap();
+            let compiled = CompiledModel::new(trained.clone());
+            for row in [[1.0, 1.0], [50.0, 50.0], [105.0, 105.0], [f64::NAN, 3.0]] {
+                let (p, f) = (trained.predict_proba(&row), compiled.predict_proba(&row));
+                assert!(
+                    p.iter().zip(&f).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kind}: {p:?} vs {f:?}"
+                );
+            }
+            let json = serde_json::to_string(&compiled).unwrap();
+            assert_eq!(json, serde_json::to_string(&trained).unwrap(), "{kind}");
+            let restored: CompiledModel = serde_json::from_str(&json).unwrap();
+            assert_eq!(restored, compiled);
+            assert_eq!(restored.flat(), compiled.flat(), "{kind}");
+        }
     }
 
     #[test]

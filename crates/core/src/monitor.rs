@@ -21,7 +21,7 @@ use cordial_topology::{BankAddress, CellAddress, RowId};
 
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
-use crate::pipeline::{Cordial, MitigationPlan, PlanRequest, ServingModel};
+use crate::pipeline::{Cordial, MitigationPlan, PlanRequest};
 
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
@@ -276,7 +276,7 @@ impl StreamGuard {
 pub struct CordialMonitor {
     /// The serving model, shared with every other monitor of the same
     /// host; never part of a checkpoint.
-    model: Arc<ServingModel>,
+    model: Arc<Cordial>,
     engine: IsolationEngine,
     /// Per-bank incremental state.
     banks: BTreeMap<BankAddress, BankState>,
@@ -521,9 +521,9 @@ impl<'de> Deserialize<'de> for MonitorCheckpoint {
 impl CordialMonitor {
     /// Wraps a serving model with a fresh isolation engine.
     ///
-    /// Pass an `Arc<ServingModel>` to share one model between monitors; a
-    /// bare [`Cordial`] is wrapped (and flattened) for this monitor alone.
-    pub fn new(model: impl Into<Arc<ServingModel>>, budget: SparingBudget) -> Self {
+    /// Pass an `Arc<Cordial>` to share one model between monitors; a bare
+    /// [`Cordial`] is moved into an `Arc` for this monitor alone.
+    pub fn new(model: impl Into<Arc<Cordial>>, budget: SparingBudget) -> Self {
         Self {
             model: model.into(),
             engine: IsolationEngine::new(budget),
@@ -635,7 +635,7 @@ impl CordialMonitor {
             self.stats.uers_missed += 1;
         }
 
-        let k_uers = self.model.pipeline().config().k_uers;
+        let k_uers = self.model.config().k_uers;
         let state = self.banks.entry(bank).or_default();
         // Incremental features are valid only at the *first* completion of
         // the observation window: there the buffered events are exactly the
@@ -684,26 +684,22 @@ impl CordialMonitor {
                     let fast = if completes_window {
                         self.features
                             .get(&bank)
-                            .and_then(|f| f.vector(self.model.pipeline().classifier().geom()))
+                            .and_then(|f| f.vector(self.model.classifier().geom()))
                     } else {
                         None
                     };
                     let plan = match fast {
                         Some(raw) => {
                             cordial_obs::counter!("monitor.features.incremental").inc();
-                            let window = ObservedWindow::from_sorted_events(bank, &state.events);
-                            self.model.pipeline().plan_window_with_features(
-                                &window,
-                                &raw,
-                                Some(self.model.flat()),
-                            )
+                            self.model.plan_request(&PlanRequest::Window {
+                                window: ObservedWindow::from_sorted_events(bank, &state.events),
+                                features: &raw,
+                            })
                         }
                         None => {
                             cordial_obs::counter!("monitor.features.reference_scan").inc();
                             let history = BankErrorHistory::new(bank, state.events.clone());
-                            self.model
-                                .pipeline()
-                                .plan_with(&history, Some(self.model.flat()))
+                            self.model.plan(&history)
                         }
                     };
                     if let Some(started) = started {
@@ -808,8 +804,8 @@ impl CordialMonitor {
     ) -> Vec<(BankAddress, MitigationPlan)> {
         let _span = cordial_obs::span!("ingest_all");
         let events: Vec<ErrorEvent> = events.into_iter().collect();
-        let k_uers = self.model.pipeline().config().k_uers;
-        let geom = self.model.pipeline().classifier().geom();
+        let k_uers = self.model.config().k_uers;
+        let geom = self.model.classifier().geom();
 
         struct Probe {
             /// This batch's events for the bank, up to its trigger point.
@@ -921,10 +917,13 @@ impl CordialMonitor {
                 Prepared::Slow(history) => PlanRequest::History(history),
             })
             .collect();
-        let batch_plans = self
-            .model
-            .pipeline()
-            .plan_batch_with(&requests, Some(self.model.flat()));
+        // Most batches trigger no bank; skip the planning call (and its
+        // span and batch-size observation) outright.
+        let batch_plans = if requests.is_empty() {
+            Vec::new()
+        } else {
+            self.model.plan_requests(&requests)
+        };
         let mut cache: BTreeMap<BankAddress, MitigationPlan> = triggering
             .iter()
             .map(|(bank, _)| *bank)
@@ -1126,7 +1125,7 @@ impl CordialMonitor {
     /// different [`CHECKPOINT_SCHEMA_VERSION`] (including pre-versioning
     /// checkpoints, which read back as version 0).
     pub fn restore(
-        model: impl Into<Arc<ServingModel>>,
+        model: impl Into<Arc<Cordial>>,
         checkpoint: MonitorCheckpoint,
     ) -> Result<Self, CheckpointVersionMismatch> {
         if checkpoint.schema_version != CHECKPOINT_SCHEMA_VERSION {
@@ -1184,11 +1183,11 @@ impl CordialMonitor {
 
     /// The trained pipeline currently serving this monitor.
     pub fn pipeline(&self) -> &Cordial {
-        self.model.pipeline()
+        &self.model
     }
 
-    /// The shared serving model behind [`CordialMonitor::pipeline`].
-    pub fn model(&self) -> &Arc<ServingModel> {
+    /// The shared pointer behind [`CordialMonitor::pipeline`].
+    pub fn model(&self) -> &Arc<Cordial> {
         &self.model
     }
 
@@ -1199,7 +1198,7 @@ impl CordialMonitor {
     /// stay applied, and only banks that trigger *after* the swap are
     /// planned by the new model. This is the model promotion/rollback hook
     /// a fleet supervisor uses.
-    pub fn swap_model(&mut self, model: Arc<ServingModel>) -> Arc<ServingModel> {
+    pub fn swap_model(&mut self, model: Arc<Cordial>) -> Arc<Cordial> {
         std::mem::replace(&mut self.model, model)
     }
 

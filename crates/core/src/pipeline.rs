@@ -1,14 +1,11 @@
 //! The end-to-end Cordial pipeline (paper Fig. 5): observe → classify →
 //! predict → recommend a mitigation.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, FleetDataset};
 use cordial_mcelog::{BankErrorHistory, ObservedWindow};
 use cordial_topology::{BankAddress, RowId};
-use cordial_trees::FlatEnsemble;
 
 use crate::classifier::PatternClassifier;
 use crate::config::CordialConfig;
@@ -60,6 +57,14 @@ impl MitigationPlan {
 }
 
 /// The trained Cordial predictor.
+///
+/// Each stage's model carries its flat inference form (built at fit and at
+/// deserialise time, never persisted), so a `Cordial` is ready to serve as
+/// it stands. Serving hosts build one per model and share it behind an
+/// `Arc`: every [`CordialMonitor`](crate::monitor::CordialMonitor) of a
+/// daemon or fleet points at the same `Cordial`, so onboarding a device,
+/// restoring it from a checkpoint and swapping its model are pointer
+/// operations, never a copy of the trees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cordial {
     classifier: PatternClassifier,
@@ -145,77 +150,10 @@ impl Cordial {
     /// * classified scattered → [`MitigationPlan::BankSparing`];
     /// * classified aggregation → [`MitigationPlan::RowSparing`] with the
     ///   rows of every positively predicted block.
-    pub fn plan(&self, history: &BankErrorHistory) -> MitigationPlan {
-        self.plan_with(history, None)
-    }
-
-    /// [`Cordial::plan`], optionally routing ensemble inference through
-    /// flattened model twins (the monitor's serving path). The twins are
-    /// bit-identical to the pointer models, so the plan never differs.
-    pub fn plan_with(
-        &self,
-        history: &BankErrorHistory,
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
-        // Root span: `plan` runs inline for 1 thread but on workers for
-        // more, so a stack-derived path would vary with the thread count.
-        let _span = cordial_obs::span_root!("plan");
-        cordial_obs::counter!("plan.requests").inc();
-        let Some((window, _)) = history.observe_until_k_uers(self.config.k_uers) else {
-            cordial_obs::counter!("plan.insufficient_data").inc();
-            return MitigationPlan::InsufficientData;
-        };
-        // The §IV-B features are computed once and shared by both stages
-        // (the classifier and the cross-row predictor used to rescan the
-        // window independently).
-        let raw = bank_features(&window, self.classifier.geom());
-        self.plan_prepared(&window, &raw, flat)
-    }
-
-    /// Plans from a pre-extracted observed window and its pre-computed
-    /// **raw** (unmasked) §IV-B feature vector — the incremental ingest
-    /// fast path: the monitor maintains the features under O(1) updates
-    /// and skips the clone-sort-rescan of [`Cordial::plan`] entirely.
     ///
-    /// The caller guarantees `window` is the classification cut (it ends
-    /// at the event completing the `k`-th distinct UER row) and that
-    /// `raw_features` equals the reference scan of `window`; under those
-    /// preconditions the returned plan is identical to [`Cordial::plan`]
-    /// on the equivalent history.
-    pub fn plan_window_with_features(
-        &self,
-        window: &ObservedWindow<'_>,
-        raw_features: &[f64],
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
-        let _span = cordial_obs::span_root!("plan");
-        cordial_obs::counter!("plan.requests").inc();
-        self.plan_prepared(window, raw_features, flat)
-    }
-
-    /// Shared classify → predict tail of every plan entry point.
-    fn plan_prepared(
-        &self,
-        window: &ObservedWindow<'_>,
-        raw_features: &[f64],
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
-        let pattern = self
-            .classifier
-            .classify_from_features(raw_features, flat.and_then(|f| f.classifier.as_ref()));
-        if !pattern.is_aggregation() {
-            cordial_obs::counter!("plan.bank_sparing").inc();
-            return MitigationPlan::BankSparing;
-        }
-        let mut rows =
-            self.crossrow
-                .predicted_rows_from_features(window, pattern, raw_features, flat);
-        rows.sort();
-        rows.dedup();
-        cordial_obs::counter!("plan.row_sparing").inc();
-        cordial_obs::histogram!("plan.rows_per_plan", cordial_obs::COUNT_BOUNDS)
-            .observe(rows.len() as f64);
-        MitigationPlan::RowSparing { pattern, rows }
+    /// Both stages predict through their models' flat inference form.
+    pub fn plan(&self, history: &BankErrorHistory) -> MitigationPlan {
+        self.plan_request(&PlanRequest::History(history))
     }
 
     /// Plans a whole fleet of banks at once: [`Cordial::plan`] for each
@@ -227,133 +165,81 @@ impl Cordial {
     pub fn plan_batch(&self, histories: &[&BankErrorHistory]) -> Vec<MitigationPlan> {
         let requests: Vec<PlanRequest<'_>> =
             histories.iter().map(|h| PlanRequest::History(h)).collect();
-        self.plan_batch_with(&requests, None)
+        self.plan_requests(&requests)
     }
 
-    /// [`Cordial::plan_batch`] over heterogeneous requests: per-bank either
-    /// a raw history (reference path) or a pre-extracted window with its
-    /// incremental features (fast path), optionally with flat inference
-    /// twins. Plans come back in input order and are identical for every
-    /// thread count.
-    pub fn plan_batch_with(
-        &self,
-        requests: &[PlanRequest<'_>],
-        flat: Option<&FlatPipeline>,
-    ) -> Vec<MitigationPlan> {
+    /// [`Cordial::plan_batch`] over the monitor's requests: per bank either
+    /// a raw history or a pre-extracted window with its incremental
+    /// features. Plans come back in input order and are identical for
+    /// every thread count.
+    pub(crate) fn plan_requests(&self, requests: &[PlanRequest<'_>]) -> Vec<MitigationPlan> {
         let _span = cordial_obs::span!("plan_batch");
         cordial_obs::histogram!("plan.batch_size", cordial_obs::COUNT_BOUNDS)
             .observe(requests.len() as f64);
         cordial_trees::parallel::ordered_map(requests, self.config.n_threads, |request| {
-            match request {
-                PlanRequest::History(history) => self.plan_with(history, flat),
-                PlanRequest::Window { window, features } => {
-                    self.plan_window_with_features(window, features, flat)
-                }
-            }
+            self.plan_request(request)
         })
     }
 
-    /// Builds the flat inference twins for this pipeline's fitted models.
-    /// Entries stay `None` for model families without a flat form (random
-    /// forests) — callers then use the pointer models.
-    pub fn flatten(&self) -> FlatPipeline {
-        let (single, double) = self.crossrow.models();
-        FlatPipeline {
-            classifier: self.classifier.model().flatten(),
-            single: single.flatten(),
-            double: double.flatten(),
+    /// Plans one request. A [`PlanRequest::Window`] is the incremental
+    /// ingest fast path: the monitor maintains the features under O(1)
+    /// updates and skips the observe-cut and rescan of a history.
+    pub(crate) fn plan_request(&self, request: &PlanRequest<'_>) -> MitigationPlan {
+        // Root span: plans run inline for 1 thread but on workers for
+        // more, so a stack-derived path would vary with the thread count.
+        let _span = cordial_obs::span_root!("plan");
+        cordial_obs::counter!("plan.requests").inc();
+        match request {
+            PlanRequest::History(history) => {
+                let Some((window, _)) = history.observe_until_k_uers(self.config.k_uers) else {
+                    cordial_obs::counter!("plan.insufficient_data").inc();
+                    return MitigationPlan::InsufficientData;
+                };
+                // The §IV-B features are computed once and shared by both
+                // stages.
+                let raw = bank_features(&window, self.classifier.geom());
+                self.plan_prepared(&window, &raw)
+            }
+            PlanRequest::Window { window, features } => self.plan_prepared(window, features),
         }
+    }
+
+    /// Shared classify → predict tail of every plan.
+    fn plan_prepared(&self, window: &ObservedWindow<'_>, raw_features: &[f64]) -> MitigationPlan {
+        let pattern = self.classifier.classify_from_features(raw_features);
+        if !pattern.is_aggregation() {
+            cordial_obs::counter!("plan.bank_sparing").inc();
+            return MitigationPlan::BankSparing;
+        }
+        let mut rows = self
+            .crossrow
+            .predicted_rows_from_features(window, pattern, raw_features);
+        rows.sort();
+        rows.dedup();
+        cordial_obs::counter!("plan.row_sparing").inc();
+        cordial_obs::histogram!("plan.rows_per_plan", cordial_obs::COUNT_BOUNDS)
+            .observe(rows.len() as f64);
+        MitigationPlan::RowSparing { pattern, rows }
     }
 }
 
-/// One entry of [`Cordial::plan_batch_with`].
+/// One bank to plan, as the monitor hands it to [`Cordial`].
 #[derive(Debug)]
-pub enum PlanRequest<'a> {
+pub(crate) enum PlanRequest<'a> {
     /// A raw bank history: observe-cut plus reference feature scan.
     History(&'a BankErrorHistory),
     /// A pre-extracted classification window with its pre-computed raw
-    /// §IV-B features (see [`Cordial::plan_window_with_features`]).
+    /// §IV-B features. The caller guarantees `window` is the
+    /// classification cut (it ends at the event completing the `k`-th
+    /// distinct UER row) and that `features` equals the reference scan of
+    /// `window`; the plan is then identical to [`Cordial::plan`] on the
+    /// equivalent history.
     Window {
         /// The observed window at the classification cut.
         window: ObservedWindow<'a>,
         /// Raw (unmasked) bank features of `window`.
         features: &'a [f64],
     },
-}
-
-/// A trained pipeline ready to serve: the [`Cordial`] model plus its
-/// [`FlatPipeline`] inference twins, flattened once when the model is
-/// built.
-///
-/// Serving hosts build one per model and share it behind an [`Arc`]: every
-/// [`CordialMonitor`](crate::monitor::CordialMonitor) of a daemon or fleet
-/// points at the same `ServingModel`, so onboarding a device, restoring it
-/// from a checkpoint and swapping its model are pointer operations, never
-/// a copy of the trees.
-#[derive(Debug)]
-pub struct ServingModel {
-    pipeline: Cordial,
-    flat: FlatPipeline,
-}
-
-impl ServingModel {
-    /// Wraps a trained pipeline, building its flat twins.
-    pub fn new(pipeline: Cordial) -> Self {
-        let flat = pipeline.flatten();
-        Self { pipeline, flat }
-    }
-
-    /// The trained pipeline.
-    pub fn pipeline(&self) -> &Cordial {
-        &self.pipeline
-    }
-
-    /// The flat inference twins of [`ServingModel::pipeline`].
-    pub(crate) fn flat(&self) -> &FlatPipeline {
-        &self.flat
-    }
-}
-
-impl From<Cordial> for Arc<ServingModel> {
-    fn from(pipeline: Cordial) -> Self {
-        Arc::new(ServingModel::new(pipeline))
-    }
-}
-
-/// Flattened SoA twins of a [`Cordial`] pipeline's fitted ensembles
-/// (classifier + per-pattern block models), built once per model by
-/// [`Cordial::flatten`] and carried by its [`ServingModel`] — the pipeline
-/// itself stays pure model state (serde/PartialEq round-trips unchanged).
-///
-/// Each entry is `None` when the underlying model family has no flat form
-/// (random forests) or a GBDT's threshold tables overflow `u16` bins.
-#[derive(Debug, Clone, Default)]
-pub struct FlatPipeline {
-    pub(crate) classifier: Option<FlatEnsemble>,
-    pub(crate) single: Option<FlatEnsemble>,
-    pub(crate) double: Option<FlatEnsemble>,
-}
-
-impl FlatPipeline {
-    /// The flattened pattern classifier, when available.
-    pub fn classifier(&self) -> Option<&FlatEnsemble> {
-        self.classifier.as_ref()
-    }
-
-    /// The flattened single-row block model, when available.
-    pub fn single(&self) -> Option<&FlatEnsemble> {
-        self.single.as_ref()
-    }
-
-    /// The flattened double-row block model, when available.
-    pub fn double(&self) -> Option<&FlatEnsemble> {
-        self.double.as_ref()
-    }
-
-    /// Whether no model could be flattened (pointer path everywhere).
-    pub fn is_empty(&self) -> bool {
-        self.classifier.is_none() && self.single.is_none() && self.double.is_none()
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use cordial::monitor::{CordialMonitor, GuardConfig, IngestOutcome};
-use cordial::pipeline::{Cordial, ServingModel};
+use cordial::pipeline::Cordial;
 use cordial::split::split_banks;
 use cordial::CordialConfig;
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
@@ -18,8 +18,8 @@ use cordial_topology::{BankAddress, ColId, RowId};
 const STEP_MS: u64 = 2_000;
 
 /// Fitting a pipeline dominates a proptest case, so train once and share.
-fn model() -> &'static Arc<ServingModel> {
-    static MODEL: OnceLock<Arc<ServingModel>> = OnceLock::new();
+fn model() -> &'static Arc<Cordial> {
+    static MODEL: OnceLock<Arc<Cordial>> = OnceLock::new();
     MODEL.get_or_init(|| {
         let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 11);
         let split = split_banks(&dataset, 0.7, 11);

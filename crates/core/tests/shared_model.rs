@@ -1,4 +1,4 @@
-//! Sharing one `Arc<ServingModel>` between monitors deletes copies and
+//! Sharing one `Arc<Cordial>` between monitors deletes copies and
 //! nothing else: per-device monitors that share a model must produce
 //! exactly what monitors each built from their own deep copy of the
 //! pipeline produce — plans, stats and serialised checkpoints — on every
@@ -7,7 +7,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cordial::pipeline::ServingModel;
 use cordial::prelude::*;
 
 /// Events per `ingest_all*` call: several batches per device, so batch
@@ -93,7 +92,7 @@ fn shared_and_owned_models_produce_identical_monitors() {
         let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), seed);
         let split = split_banks(&dataset, 0.7, seed);
         let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
-        let model = Arc::new(ServingModel::new(cordial.clone()));
+        let model = Arc::new(cordial.clone());
         let devices = by_device(&dataset);
         assert!(
             devices.len() > 1,

@@ -1041,7 +1041,7 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
     let split1 = split_banks(&phase1, 0.7, seed);
     let initial = cordial::pipeline::Cordial::fit(&phase1, &split1.train, &model_config)
         .map_err(|e| e.to_string())?;
-    let initial = std::sync::Arc::new(cordial::pipeline::ServingModel::new(initial));
+    let initial = std::sync::Arc::new(initial);
 
     let relearn = RelearnConfig {
         refit_every_events: 1024,

@@ -8,7 +8,7 @@
 //! last-known-good so the supervisor can roll back the moment live
 //! precision degrades past its floor.
 //!
-//! Models are held as shared [`ServingModel`]s: promotion and rollback
+//! Models are held as shared [`Cordial`]s: promotion and rollback
 //! move `Arc` pointers, and every serving monitor points at the same
 //! incumbent.
 
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cordial::monitor::{CordialMonitor, GuardConfig};
-use cordial::pipeline::ServingModel;
+use cordial::pipeline::Cordial;
 use cordial::prelude::evaluate_pipeline;
 use cordial_faultsim::{FleetDataset, SparingBudget};
 use cordial_topology::BankAddress;
@@ -101,13 +101,13 @@ impl PromotionDecision {
 /// replay of the calibration banks' event stream. The shadow monitor
 /// shares `model`; nothing is copied.
 pub fn shadow_score(
-    model: &Arc<ServingModel>,
+    model: &Arc<Cordial>,
     dataset: &FleetDataset,
     calibration: &[BankAddress],
     budget: SparingBudget,
     guard: GuardConfig,
 ) -> ShadowScore {
-    let eval = evaluate_pipeline(model.pipeline(), dataset, calibration);
+    let eval = evaluate_pipeline(model, dataset, calibration);
     let banks: BTreeSet<BankAddress> = calibration.iter().copied().collect();
     let mut monitor = CordialMonitor::new(Arc::clone(model), budget).with_guard_config(guard);
     monitor.ingest_all_guarded(
@@ -155,8 +155,8 @@ pub fn clears_gate(
 /// The incumbent/last-known-good pair plus lifecycle counters.
 #[derive(Debug, Clone)]
 pub struct ModelRegistry {
-    incumbent: Arc<ServingModel>,
-    last_known_good: Arc<ServingModel>,
+    incumbent: Arc<Cordial>,
+    last_known_good: Arc<Cordial>,
     promotions: u64,
     rejections: u64,
     rollbacks: u64,
@@ -165,7 +165,7 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Seeds the registry: the initial model is both incumbent and
     /// last-known-good.
-    pub fn new(initial: impl Into<Arc<ServingModel>>) -> Self {
+    pub fn new(initial: impl Into<Arc<Cordial>>) -> Self {
         let initial = initial.into();
         Self {
             last_known_good: Arc::clone(&initial),
@@ -177,17 +177,17 @@ impl ModelRegistry {
     }
 
     /// The model currently serving.
-    pub fn incumbent(&self) -> &Arc<ServingModel> {
+    pub fn incumbent(&self) -> &Arc<Cordial> {
         &self.incumbent
     }
 
     /// The rollback target.
-    pub fn last_known_good(&self) -> &Arc<ServingModel> {
+    pub fn last_known_good(&self) -> &Arc<Cordial> {
         &self.last_known_good
     }
 
     /// Installs a new incumbent; the displaced one becomes last-known-good.
-    pub fn promote(&mut self, candidate: Arc<ServingModel>) {
+    pub fn promote(&mut self, candidate: Arc<Cordial>) {
         self.last_known_good = std::mem::replace(&mut self.incumbent, candidate);
         self.promotions += 1;
     }
@@ -199,7 +199,7 @@ impl ModelRegistry {
 
     /// Reverts to last-known-good and returns it for the caller to swap
     /// into serving monitors.
-    pub fn rollback(&mut self) -> Arc<ServingModel> {
+    pub fn rollback(&mut self) -> Arc<Cordial> {
         self.incumbent = Arc::clone(&self.last_known_good);
         self.rollbacks += 1;
         Arc::clone(&self.incumbent)

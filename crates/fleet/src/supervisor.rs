@@ -16,7 +16,7 @@ use std::sync::{Arc, Once};
 use cordial::monitor::{
     CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats,
 };
-use cordial::pipeline::{Cordial, ServingModel};
+use cordial::pipeline::Cordial;
 use cordial_faultsim::{FleetDataset, SparingBudget};
 use cordial_mcelog::ErrorEvent;
 use cordial_store::Store;
@@ -282,7 +282,7 @@ impl FleetSupervisor {
     /// their first event.
     pub fn new(
         config: SupervisorConfig,
-        model: impl Into<Arc<ServingModel>>,
+        model: impl Into<Arc<Cordial>>,
         devices: impl IntoIterator<Item = DeviceId>,
     ) -> Self {
         install_quiet_hook();
@@ -579,7 +579,7 @@ impl FleetSupervisor {
     /// (inline jobs also settle here; background jobs settle at a later
     /// sweep). Thin windows count as skipped and wait out one cadence.
     fn start_refit(&mut self, state: &mut RelearnState, now_ms: u64) {
-        let incumbent = self.registry.incumbent().pipeline();
+        let incumbent = self.registry.incumbent();
         let job = build_job(&state.window, &state.config, incumbent.config(), incumbent);
         state.scheduler.note_started();
         let Some(mut job) = job else {
@@ -765,7 +765,7 @@ impl FleetSupervisor {
     fn trip_slot(
         slot: &mut DeviceSlot,
         id: DeviceId,
-        incumbent: &Arc<ServingModel>,
+        incumbent: &Arc<Cordial>,
         config: &SupervisorConfig,
         now_ms: u64,
         cause: &'static str,
@@ -796,11 +796,7 @@ impl FleetSupervisor {
         Self::restore_slot(slot, incumbent, config);
     }
 
-    fn restore_slot(
-        slot: &mut DeviceSlot,
-        incumbent: &Arc<ServingModel>,
-        config: &SupervisorConfig,
-    ) {
+    fn restore_slot(slot: &mut DeviceSlot, incumbent: &Arc<Cordial>, config: &SupervisorConfig) {
         slot.monitor = match CordialMonitor::restore(Arc::clone(incumbent), slot.checkpoint.clone())
         {
             Ok(monitor) => monitor,
@@ -847,7 +843,7 @@ impl FleetSupervisor {
     /// bank set; swaps it into every monitor only if it clears the gate.
     pub fn consider_candidate(
         &mut self,
-        candidate: impl Into<Arc<ServingModel>>,
+        candidate: impl Into<Arc<Cordial>>,
         dataset: &FleetDataset,
         calibration: &[BankAddress],
     ) -> PromotionDecision {
@@ -895,7 +891,7 @@ impl FleetSupervisor {
 
     /// Installs `candidate` bypassing the gate — an operator override (and
     /// the chaos hook that lets tests exercise rollback).
-    pub fn force_promote(&mut self, candidate: impl Into<Arc<ServingModel>>) {
+    pub fn force_promote(&mut self, candidate: impl Into<Arc<Cordial>>) {
         cordial_obs::counter!("fleet.model.forced").inc();
         if cordial_obs::recorder::enabled() {
             cordial_obs::recorder::instant("model", "force_promote", "operator override");
@@ -903,7 +899,7 @@ impl FleetSupervisor {
         self.adopt(candidate.into());
     }
 
-    fn adopt(&mut self, candidate: Arc<ServingModel>) {
+    fn adopt(&mut self, candidate: Arc<Cordial>) {
         for slot in self.devices.values_mut() {
             slot.monitor.swap_model(Arc::clone(&candidate));
         }
@@ -1044,7 +1040,7 @@ impl FleetSupervisor {
 
     /// The model currently serving on every healthy device.
     pub fn incumbent(&self) -> &Cordial {
-        self.registry.incumbent().pipeline()
+        self.registry.incumbent()
     }
 
     /// Lifecycle counters (promotions / rejections / rollbacks).

@@ -56,9 +56,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cordial::prelude::{
-    CordialMonitor, MonitorCheckpoint, MonitorStats, ServingModel, SparingBudget,
-};
+use cordial::prelude::{Cordial, CordialMonitor, MonitorCheckpoint, MonitorStats, SparingBudget};
 use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceId};
 use cordial_mcelog::ErrorEvent;
 use cordial_store::{DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
@@ -201,7 +199,7 @@ struct ShardState {
 struct Shared {
     config: ServeConfig,
     /// The one serving model every device monitor shares.
-    model: Arc<ServingModel>,
+    model: Arc<Cordial>,
     queues: Mutex<Vec<VecDeque<Vec<ErrorEvent>>>>,
     room: Vec<Condvar>,
     shards: Vec<Mutex<ShardState>>,
@@ -549,7 +547,7 @@ impl Server {
     ///
     /// Bind to port 0 to let the OS pick; the chosen address is reported
     /// by [`Server::addr`] / [`Server::metrics_addr`]. `model` is the one
-    /// [`ServingModel`] every device monitor the daemon creates or
+    /// [`Cordial`] every device monitor the daemon creates or
     /// restores shares.
     ///
     /// # Errors
@@ -557,7 +555,7 @@ impl Server {
     /// Propagates listener bind failures and unreadable checkpoint files
     /// (a missing checkpoint directory is created, not an error).
     pub fn bind(
-        model: impl Into<Arc<ServingModel>>,
+        model: impl Into<Arc<Cordial>>,
         config: ServeConfig,
         addr: &str,
         metrics_addr: Option<&str>,

@@ -1,403 +1,452 @@
-//! Flattened, branchless inference twins for the boosted ensembles.
+//! Flattened, branchless inference for every fitted ensemble of the crate.
 //!
-//! [`Gbdt`] and [`LightGbm`] predict by walking heap-allocated node vectors
-//! with an enum `match` per node — a pointer-chasing, branch-mispredicting
-//! hot loop when a monitor replans on every ingested batch. This module
-//! flattens a fitted ensemble into one contiguous structure-of-arrays node
-//! pool:
+//! [`RandomForest`], [`Gbdt`] and [`LightGbm`] predict by walking
+//! heap-allocated node vectors with an enum `match` per node — a
+//! pointer-chasing, branch-mispredicting hot loop when a monitor replans on
+//! every ingested batch. This module flattens a fitted ensemble into one
+//! contiguous node pool:
 //!
 //! ```text
-//! feature:    [u16]   split feature index        (one entry per split node)
-//! threshold:  [u16]   split threshold, as a bin  (one entry per split node)
-//! children:   [i32]   2 entries per split node; children[2i] = left,
-//!                     children[2i+1] = right. Non-negative = split-node
-//!                     index, negative = !leaf_index into leaf_weight.
-//! leaf_weight:[f64]   leaf values (one entry per leaf)
-//! roots:      [i32]   per-tree entry point, (round, class) order; negative
-//!                     roots encode single-leaf trees.
+//! nodes:       [FlatNode]  one 16-byte record per split node: feature
+//!                          (u32), threshold bin (u32) and the child pair
+//!                          [left, right] (i32). A non-negative child is a
+//!                          pool index, a negative child `!slot` a leaf.
+//! leaf_values: [f64]       leaf_width values per leaf slot: one weight for
+//!                          a boosted tree, one probability per class for
+//!                          a forest tree.
+//! roots:       [i32]       per-tree entry reference in the reference's
+//!                          accumulation order; a single-leaf tree's root
+//!                          is its leaf.
 //! ```
 //!
-//! Traversal is predicated rather than branched: each step loads
-//! `(feature, threshold, children)` for the current node and selects the
-//! child with `usize::from(bin > threshold)` — no data-dependent branch
-//! until the leaf test.
+//! Traversal is predicated rather than branched: each step loads one node
+//! record and selects the child with `usize::from(bin > threshold)`, with
+//! no data-dependent branch until the leaf test.
 //!
-//! Raw split thresholds are quantised to bin indices up front, so traversal
-//! compares `u16`s only:
+//! Raw feature values are quantised to bins up front, so traversal
+//! compares integers only. Every family uses the same rule: per feature, a
+//! sorted, deduplicated table `t` of split points, with `bin(x) = 1 +
+//! #{t_j : t_j < x}` and NaN ↦ bin 0.
 //!
-//! * LightGBM trees already split on bins of the model's own [`BinMapper`];
-//!   the mapper is reused verbatim.
-//! * GBDT trees split on raw `f64` midpoints. Per feature, the sorted,
-//!   deduplicated set of every threshold used anywhere in the ensemble
-//!   becomes a bin table: `bin(x) = 1 + #{t in table : t < x}` (NaN ↦ bin
-//!   0). A split on threshold `t_i` (the `i`-th table entry) then routes
-//!   left iff `bin(x) <= i + 1`, which is exactly the raw predicate
-//!   `x.is_nan() || x <= t_i` — NaN maps to bin 0 which is `<=` every
-//!   index, and for finite `x`, `bin(x) <= i + 1 ⟺ #{t < x} <= i ⟺
+//! * LightGBM trees already split on bins of the model's own [`BinMapper`],
+//!   whose edges follow exactly this rule; the edges are the tables.
+//! * GBDT and random-forest (CART) trees split on raw `f64` midpoints with
+//!   the predicate `x.is_nan() || x <= t`. Per feature, every threshold
+//!   used anywhere in the ensemble becomes the table. A split on threshold
+//!   `t_i` (the `i`-th table entry) then routes left iff `bin(x) <= i + 1`,
+//!   which is exactly the raw predicate — NaN maps to bin 0, which is `<=`
+//!   every index, and for finite `x`, `bin(x) <= i + 1 ⟺ #{t < x} <= i ⟺
 //!   x <= t_i` because the table is sorted and `t_i` is at index `i`.
 //!
-//! The pointer-based ensembles remain the reference twins; equivalence
-//! tests pin the flat path to them bit-for-bit ([`FlatEnsemble::raw_scores`]
-//! replicates the exact accumulation order of the reference, so scores,
-//! probabilities and argmax classes are identical, NaN handling included).
+//! Bins are `u32`, so a table of any size a model can hold is addressable
+//! and flattening never fails: there is no pointer-walk fallback.
+//!
+//! Leaves are combined the way each reference model combines them:
+//!
+//! * boosted (GBDT, LightGBM): raw score `base + Σ learning_rate · weight`
+//!   per class in `(round, class)` order, then softmax;
+//! * forest: the trees' leaf probability vectors summed in tree order from
+//!   zero, then divided by the tree count — [`RandomForest::predict_proba`]'s
+//!   exact operations.
+//!
+//! Every prediction, single-row or batch, runs one tree-major kernel: each
+//! tree walks every row of the call before the next tree starts, so a tree
+//! stays in cache across the batch. Per row, the additions happen in the
+//! same tree order as the reference, so scores, probabilities and argmax
+//! classes are bit-identical to the pointer models (NaN handling included)
+//! for every batch size and thread count.
+//! The pointer models stay as the training structures and as the test
+//! oracle.
 
-use crate::gbdt::{softmax, Gbdt, RegNode, RegTree};
-use crate::hist::{BinMapper, MISSING_BIN};
-use crate::lgbm::{HistNode, HistTree, LightGbm};
+use crate::forest::RandomForest;
+use crate::gbdt::{softmax, Gbdt, RegNode};
+use crate::lgbm::{HistNode, LightGbm};
+use crate::tree::Node;
 use crate::Classifier;
 
 /// Minimum rows per worker chunk in
-/// [`FlatEnsemble::raw_scores_batch_threaded`]: below twice this the
+/// [`FlatEnsemble::predict_proba_batch_threaded`]: below twice this the
 /// batch runs sequentially, since spawn overhead dwarfs the work.
 const MIN_CHUNK: usize = 8;
 
-/// How raw feature rows are quantised to `u16` bins before traversal.
+/// One split node: `bin_row[feature] > threshold` selects `children[1]`,
+/// otherwise `children[0]`. A child `c >= 0` is a pool index; a negative
+/// child is the leaf slot `!c`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FlatNode {
+    feature: u32,
+    threshold: u32,
+    children: [i32; 2],
+}
+
+/// How per-tree leaf values become class probabilities.
 #[derive(Debug, Clone, PartialEq)]
-enum FlatBinner {
-    /// LightGBM: the model's own quantile mapper.
-    Mapper(BinMapper),
-    /// GBDT: per-feature sorted tables of every split threshold in the
-    /// ensemble. `bin(x) = 1 + #{t < x}`, NaN ↦ [`MISSING_BIN`].
-    Thresholds(Vec<Vec<f64>>),
+enum Combine {
+    /// `base_score + Σ learning_rate · weight` per class, trees in
+    /// `(round, class)` order, then softmax.
+    Boosted {
+        base_score: Vec<f64>,
+        learning_rate: f64,
+    },
+    /// Sum of per-tree probability vectors, then divided by the tree count.
+    Forest,
 }
 
-impl FlatBinner {
-    fn bin(&self, feature: usize, value: f64) -> u16 {
-        match self {
-            FlatBinner::Mapper(mapper) => mapper.bin(feature, value),
-            FlatBinner::Thresholds(tables) => {
-                if value.is_nan() {
-                    MISSING_BIN
-                } else {
-                    (tables[feature].partition_point(|&t| t < value) + 1) as u16
-                }
-            }
-        }
-    }
+/// A node of a pointer tree as the flattener sees it; `T` is the split
+/// threshold: a raw `f64` for CART and GBDT trees, a bin for LightGBM.
+enum NodeView<'a, T> {
+    Split {
+        feature: usize,
+        threshold: T,
+        left: usize,
+        right: usize,
+    },
+    Leaf(&'a [f64]),
 }
 
-/// A fitted boosted ensemble flattened into contiguous SoA arrays with
-/// branchless predicated traversal. See the [module docs](self) for the
-/// data layout and quantisation invariants.
+/// A fitted ensemble flattened into contiguous arrays with branchless
+/// predicated traversal. See the [module docs](self) for the data layout,
+/// the quantisation rule and the bit-identity argument.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatEnsemble {
-    binner: FlatBinner,
-    /// Split feature per interior node.
-    feature: Vec<u16>,
-    /// Binned split threshold per interior node (`bin <= threshold` → left).
-    threshold: Vec<u16>,
-    /// Packed child pairs: `children[2i]` left, `children[2i + 1]` right;
-    /// negative values encode `!leaf_index`.
-    children: Vec<i32>,
-    /// Leaf values, shared across all trees.
-    leaf_weight: Vec<f64>,
-    /// Per-tree entry nodes in `(round, class)` order.
+    /// Per-feature sorted bin tables: `bin(x) = 1 + #{t < x}`, NaN ↦ 0.
+    tables: Vec<Vec<f64>>,
+    nodes: Vec<FlatNode>,
+    /// `leaf_width` values per leaf, shared across all trees.
+    leaf_values: Vec<f64>,
+    leaf_width: usize,
+    /// Per-tree entry references in accumulation order.
     roots: Vec<i32>,
-    /// Traversal records derived from the SoA arrays: one record per
-    /// split node — `[(feature << 16) | threshold_bin, left ref, right
-    /// ref]` — so one predicated step costs a single bounds-checked
-    /// 12-byte record load plus the bin lookup, instead of three
-    /// separately bounds-checked array reads.
-    packed: Vec<[i32; 3]>,
+    combine: Combine,
     n_classes: usize,
     n_features: usize,
-    base_score: Vec<f64>,
-    learning_rate: f64,
 }
 
 impl FlatEnsemble {
-    /// Flattens a fitted LightGBM-style model. Infallible: histogram trees
-    /// already split on `u16` bins of the model's own mapper.
-    pub fn from_lightgbm(model: &LightGbm) -> Self {
-        let mut flat = FlatEnsemble {
-            binner: FlatBinner::Mapper(model.bin_mapper().clone()),
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            children: Vec::new(),
-            leaf_weight: Vec::new(),
-            roots: Vec::new(),
-            packed: Vec::new(),
-            n_classes: model.n_classes(),
-            n_features: model.n_features(),
-            base_score: model.base_scores().to_vec(),
-            learning_rate: model.shrinkage(),
-        };
-        for round in model.tree_rounds() {
-            for tree in round {
-                let root = flat.append_hist_tree(tree);
-                flat.roots.push(root);
-            }
-        }
-        flat.pack();
-        flat
+    /// Flattens a fitted random forest: thresholds quantised through
+    /// per-feature tables, leaves carrying the trees' class-probability
+    /// vectors.
+    pub fn from_forest(model: &RandomForest) -> Self {
+        let trees: Vec<&[Node]> = model.trees().iter().map(|t| t.nodes.as_slice()).collect();
+        Self::from_raw_splits(
+            &trees,
+            |node| match node {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => NodeView::Split {
+                    feature: *feature,
+                    threshold: *threshold,
+                    left: *left,
+                    right: *right,
+                },
+                Node::Leaf { proba } => NodeView::Leaf(proba),
+            },
+            model.n_classes(),
+            model.n_features(),
+            Combine::Forest,
+        )
     }
 
     /// Flattens a fitted GBDT (XGBoost-style) model by quantising every
-    /// split threshold to an index into a per-feature sorted threshold
+    /// split threshold to its index in a per-feature sorted threshold
     /// table.
-    ///
-    /// Returns `None` when any feature uses more distinct thresholds than
-    /// a `u16` bin index can address (callers then keep the pointer-based
-    /// reference path).
-    pub fn from_gbdt(model: &Gbdt) -> Option<Self> {
-        let n_features = model.n_features();
+    pub fn from_gbdt(model: &Gbdt) -> Self {
+        let trees: Vec<&[RegNode]> = model
+            .tree_rounds()
+            .iter()
+            .flatten()
+            .map(|t| t.nodes.as_slice())
+            .collect();
+        let combine = Combine::Boosted {
+            base_score: model.base_scores().to_vec(),
+            learning_rate: model.shrinkage(),
+        };
+        Self::from_raw_splits(
+            &trees,
+            |node| match node {
+                RegNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => NodeView::Split {
+                    feature: *feature,
+                    threshold: *threshold,
+                    left: *left,
+                    right: *right,
+                },
+                RegNode::Leaf { weight } => NodeView::Leaf(std::slice::from_ref(weight)),
+            },
+            model.n_classes(),
+            model.n_features(),
+            combine,
+        )
+    }
+
+    /// Flattens trees that split on raw `f64` thresholds: every threshold
+    /// joins its feature's sorted, deduplicated table first, then each
+    /// split is quantised to its table index.
+    fn from_raw_splits<N>(
+        trees: &[&[N]],
+        view: impl for<'a> Fn(&'a N) -> NodeView<'a, f64>,
+        n_classes: usize,
+        n_features: usize,
+        combine: Combine,
+    ) -> Self {
         let mut tables: Vec<Vec<f64>> = vec![Vec::new(); n_features];
-        for round in model.tree_rounds() {
-            for tree in round {
-                for node in &tree.nodes {
-                    if let RegNode::Split {
-                        feature, threshold, ..
-                    } = node
-                    {
-                        debug_assert!(!threshold.is_nan(), "GBDT split thresholds are finite");
-                        tables[*feature].push(*threshold);
-                    }
-                }
+        for node in trees.iter().flat_map(|nodes| nodes.iter()) {
+            if let NodeView::Split {
+                feature, threshold, ..
+            } = view(node)
+            {
+                debug_assert!(!threshold.is_nan(), "split thresholds are never NaN");
+                tables[feature].push(threshold);
             }
         }
         for table in &mut tables {
             table.sort_by(f64::total_cmp);
             table.dedup();
-            // Bins are 1-based with bin 0 reserved for NaN; the largest
-            // addressable table index is therefore u16::MAX - 1.
-            if table.len() >= usize::from(u16::MAX) {
-                return None;
-            }
         }
+        let mut flat = Self::empty(tables, n_classes, n_features, combine);
+        for nodes in trees {
+            flat.push_tree(nodes, |node, tables| match view(node) {
+                NodeView::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => NodeView::Split {
+                    feature,
+                    threshold: threshold_bin(&tables[feature], threshold),
+                    left,
+                    right,
+                },
+                NodeView::Leaf(values) => NodeView::Leaf(values),
+            });
+        }
+        flat
+    }
 
-        let mut flat = FlatEnsemble {
-            binner: FlatBinner::Thresholds(tables),
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            children: Vec::new(),
-            leaf_weight: Vec::new(),
+    /// Flattens a fitted LightGBM-style model. Histogram trees already
+    /// split on bins of the model's own mapper, whose edges become the bin
+    /// tables verbatim.
+    pub fn from_lightgbm(model: &LightGbm) -> Self {
+        let mut flat = Self::empty(
+            model.bin_mapper().boundaries().to_vec(),
+            model.n_classes(),
+            model.n_features(),
+            Combine::Boosted {
+                base_score: model.base_scores().to_vec(),
+                learning_rate: model.shrinkage(),
+            },
+        );
+        for tree in model.tree_rounds().iter().flatten() {
+            flat.push_tree(&tree.nodes, |node, _| match node {
+                HistNode::Split {
+                    feature,
+                    bin_threshold,
+                    left,
+                    right,
+                } => NodeView::Split {
+                    feature: *feature,
+                    threshold: u32::from(*bin_threshold),
+                    left: *left,
+                    right: *right,
+                },
+                HistNode::Leaf { weight } => NodeView::Leaf(std::slice::from_ref(weight)),
+            });
+        }
+        flat
+    }
+
+    fn empty(tables: Vec<Vec<f64>>, n_classes: usize, n_features: usize, combine: Combine) -> Self {
+        let leaf_width = match combine {
+            Combine::Boosted { .. } => 1,
+            Combine::Forest => n_classes,
+        };
+        Self {
+            tables,
+            nodes: Vec::new(),
+            leaf_values: Vec::new(),
+            leaf_width,
             roots: Vec::new(),
-            packed: Vec::new(),
-            n_classes: model.n_classes(),
+            combine,
+            n_classes,
             n_features,
-            base_score: model.base_scores().to_vec(),
-            learning_rate: model.shrinkage(),
-        };
-        for round in model.tree_rounds() {
-            for tree in round {
-                let root = flat.append_reg_tree(tree);
-                flat.roots.push(root);
-            }
         }
-        flat.pack();
-        Some(flat)
     }
 
-    /// Appends one histogram tree to the node pool, returning its packed
-    /// root reference.
-    fn append_hist_tree(&mut self, tree: &HistTree) -> i32 {
-        let base_split = self.feature.len();
-        let mut n_splits = 0usize;
-        let mut refs = Vec::with_capacity(tree.nodes.len());
-        for node in &tree.nodes {
-            match node {
-                HistNode::Split { .. } => {
-                    refs.push((base_split + n_splits) as i32);
-                    n_splits += 1;
+    /// Appends one pointer tree (root at index 0) to the pool: its split
+    /// nodes get consecutive pool slots in pointer order, its leaves
+    /// consecutive leaf slots.
+    fn push_tree<N>(
+        &mut self,
+        nodes: &[N],
+        view: impl for<'a> Fn(&'a N, &[Vec<f64>]) -> NodeView<'a, u32>,
+    ) {
+        let views: Vec<NodeView<'_, u32>> =
+            nodes.iter().map(|node| view(node, &self.tables)).collect();
+        let mut next_split = self.nodes.len();
+        let refs: Vec<i32> = views
+            .iter()
+            .map(|view| match view {
+                NodeView::Split { .. } => {
+                    next_split += 1;
+                    (next_split - 1) as i32
                 }
-                HistNode::Leaf { weight } => {
-                    refs.push(!(self.leaf_weight.len() as i32));
-                    self.leaf_weight.push(*weight);
+                NodeView::Leaf(values) => {
+                    debug_assert_eq!(values.len(), self.leaf_width);
+                    let slot = self.leaf_values.len() / self.leaf_width;
+                    self.leaf_values.extend_from_slice(values);
+                    !(slot as i32)
                 }
-            }
-        }
-        for node in &tree.nodes {
-            if let HistNode::Split {
-                feature,
-                bin_threshold,
-                left,
-                right,
-            } = node
-            {
-                self.feature.push(*feature as u16);
-                self.threshold.push(*bin_threshold);
-                self.children.push(refs[*left]);
-                self.children.push(refs[*right]);
-            }
-        }
-        refs[0]
-    }
-
-    /// Appends one regression tree to the node pool, quantising each raw
-    /// split threshold to its 1-based index in the feature's bin table.
-    fn append_reg_tree(&mut self, tree: &RegTree) -> i32 {
-        let FlatBinner::Thresholds(tables) = &self.binner else {
-            unreachable!("GBDT trees are flattened with a threshold-table binner");
-        };
-        let base_split = self.feature.len();
-        let mut n_splits = 0usize;
-        let mut refs = Vec::with_capacity(tree.nodes.len());
-        let mut bins = Vec::new();
-        for node in &tree.nodes {
-            match node {
-                RegNode::Split {
-                    feature, threshold, ..
-                } => {
-                    refs.push((base_split + n_splits) as i32);
-                    n_splits += 1;
-                    let idx = tables[*feature].partition_point(|&t| t < *threshold);
-                    debug_assert!(
-                        tables[*feature].get(idx).copied().map(f64::to_bits)
-                            == Some(threshold.to_bits()),
-                        "every split threshold is in its feature's table"
-                    );
-                    bins.push((idx + 1) as u16);
-                }
-                RegNode::Leaf { weight } => {
-                    refs.push(!(self.leaf_weight.len() as i32));
-                    self.leaf_weight.push(*weight);
-                }
-            }
-        }
-        let mut next_bin = bins.into_iter();
-        for node in &tree.nodes {
-            if let RegNode::Split {
-                feature,
-                left,
-                right,
-                ..
-            } = node
-            {
-                self.feature.push(*feature as u16);
-                self.threshold.push(next_bin.next().unwrap_or(MISSING_BIN));
-                self.children.push(refs[*left]);
-                self.children.push(refs[*right]);
-            }
-        }
-        refs[0]
-    }
-
-    /// Builds the packed traversal records from the filled SoA arrays.
-    /// Split features and bin thresholds both fit `u16`, so
-    /// `(feature << 16) | threshold` is always non-negative as an `i32`.
-    fn pack(&mut self) {
-        self.packed = (0..self.feature.len())
-            .map(|n| {
-                [
-                    (i32::from(self.feature[n]) << 16) | i32::from(self.threshold[n]),
-                    self.children[2 * n],
-                    self.children[2 * n + 1],
-                ]
             })
             .collect();
-    }
-
-    /// Walks one tree from `root` over a pre-binned row; branchless except
-    /// for the leaf test. Each step reads one packed record (a single
-    /// bounds-checked 12-byte load).
-    #[inline]
-    fn predict_tree(&self, root: i32, bin_row: &[u16]) -> f64 {
-        let mut idx = root;
-        while idx >= 0 {
-            let rec = self.packed[idx as usize];
-            let meta = rec[0] as u32;
-            let go_right = usize::from(bin_row[(meta >> 16) as usize] > (meta & 0xFFFF) as u16);
-            idx = rec[1 + go_right];
+        for view in &views {
+            if let NodeView::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } = *view
+            {
+                self.nodes.push(FlatNode {
+                    feature: feature as u32,
+                    threshold,
+                    children: [refs[left], refs[right]],
+                });
+            }
         }
-        self.leaf_weight[!idx as usize]
+        self.roots.push(refs[0]);
     }
 
     /// Quantises one raw feature row into this ensemble's bin space.
-    pub fn bin_row(&self, row: &[f64]) -> Vec<u16> {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        let mut bins = vec![0u16; row.len()];
+    pub fn bin_row(&self, row: &[f64]) -> Vec<u32> {
+        let mut bins = vec![0u32; self.n_features];
         self.bin_row_into(row, &mut bins);
         bins
     }
 
     /// [`FlatEnsemble::bin_row`] into a caller-owned scratch buffer.
-    pub fn bin_row_into(&self, row: &[f64], out: &mut [u16]) {
+    pub fn bin_row_into(&self, row: &[f64], out: &mut [u32]) {
         assert_eq!(row.len(), self.n_features, "feature count mismatch");
         assert_eq!(out.len(), self.n_features, "scratch length mismatch");
-        for (f, (&value, bin)) in row.iter().zip(out.iter_mut()).enumerate() {
-            *bin = self.binner.bin(f, value);
+        for ((&value, bin), table) in row.iter().zip(out.iter_mut()).zip(&self.tables) {
+            *bin = if value.is_nan() {
+                0
+            } else {
+                (table.partition_point(|&t| t < value) + 1) as u32
+            };
         }
     }
 
-    /// Raw (pre-softmax) scores for one pre-binned row. Accumulates in the
-    /// same `(round, class)` order and with the same f64 operations as the
-    /// pointer-based reference, so results are bit-identical.
-    pub fn raw_scores_binned(&self, bin_row: &[u16]) -> Vec<f64> {
-        debug_assert_eq!(self.roots.len() % self.n_classes, 0);
-        let mut scores = self.base_score.clone();
-        // Rounds are contiguous runs of `n_classes` roots; zipping each run
-        // against the score vector accumulates in exactly the reference's
-        // `(round, class)` order with no index arithmetic (no per-tree
-        // `tree % n_classes` division, no bounds checks) in the hot loop.
-        for round_roots in self.roots.chunks_exact(self.n_classes) {
-            for (score, &root) in scores.iter_mut().zip(round_roots) {
-                *score += self.learning_rate * self.predict_tree(root, bin_row);
+    /// Walks one tree from `root` over a pre-binned row to its leaf slot.
+    #[inline]
+    fn leaf(&self, root: i32, bin_row: &[u32]) -> usize {
+        let mut at = root;
+        while at >= 0 {
+            let node = &self.nodes[at as usize];
+            at = node.children[usize::from(bin_row[node.feature as usize] > node.threshold)];
+        }
+        !at as usize
+    }
+
+    /// The tree-major kernel behind every prediction: raw accumulations
+    /// (`n_classes` per row, row-major) for a batch of pre-binned rows.
+    /// Boosted ensembles accumulate raw scores, forests the un-normalised
+    /// sum of leaf probability vectors.
+    fn accumulate(&self, bins: &[u32]) -> Vec<f64> {
+        let nc = self.n_classes;
+        let rows = bins.chunks_exact(self.n_features);
+        match &self.combine {
+            Combine::Boosted {
+                base_score,
+                learning_rate,
+            } => {
+                let mut acc = base_score.repeat(rows.len());
+                // Rounds are contiguous runs of `n_classes` roots, so the
+                // class of each tree is its position within the run.
+                for round in self.roots.chunks_exact(nc) {
+                    for (class, &root) in round.iter().enumerate() {
+                        for (bin_row, scores) in rows.clone().zip(acc.chunks_exact_mut(nc)) {
+                            scores[class] +=
+                                learning_rate * self.leaf_values[self.leaf(root, bin_row)];
+                        }
+                    }
+                }
+                acc
+            }
+            Combine::Forest => {
+                let mut acc = vec![0.0f64; rows.len() * nc];
+                for &root in &self.roots {
+                    for (bin_row, sums) in rows.clone().zip(acc.chunks_exact_mut(nc)) {
+                        let leaf = self.leaf(root, bin_row) * nc;
+                        for (sum, value) in sums.iter_mut().zip(&self.leaf_values[leaf..leaf + nc])
+                        {
+                            *sum += value;
+                        }
+                    }
+                }
+                acc
             }
         }
-        scores
     }
 
-    /// Raw (pre-softmax) scores for one raw feature row.
+    /// Class probabilities from one row's raw accumulation.
+    fn probabilities(&self, raw: &[f64]) -> Vec<f64> {
+        match self.combine {
+            Combine::Boosted { .. } => softmax(raw),
+            Combine::Forest => {
+                let n = self.roots.len() as f64;
+                raw.iter().map(|sum| sum / n).collect()
+            }
+        }
+    }
+
+    /// Raw scores for one raw feature row: pre-softmax scores for a boosted
+    /// ensemble (bit-identical to `Gbdt::raw_scores` /
+    /// `LightGbm::raw_scores`), the summed leaf probability vectors for a
+    /// forest.
     pub fn raw_scores(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        self.raw_scores_binned(&self.bin_row(row))
+        self.accumulate(&self.bin_row(row))
     }
 
-    /// Raw (pre-softmax) scores for a batch of rows.
+    /// Class probabilities for a batch of rows, in input order;
+    /// bit-identical to calling [`Classifier::predict_proba`] per row.
     ///
-    /// All rows are quantised into one shared bin buffer first (a single
-    /// allocation for the whole batch), then each row walks the packed
-    /// node records. Per row the additions happen in the same tree order
-    /// as the single-row path, so results stay bit-identical to
-    /// [`FlatEnsemble::raw_scores`] row by row.
-    pub fn raw_scores_batch(&self, rows: &[&[f64]]) -> Vec<Vec<f64>> {
-        let n_features = self.n_features;
-        let mut bins = vec![0u16; rows.len() * n_features];
-        for (row, out) in rows.iter().zip(bins.chunks_exact_mut(n_features)) {
+    /// All rows are quantised into one shared bin buffer, then each tree
+    /// walks every row before the next tree starts.
+    pub fn predict_proba_batch(&self, rows: &[&[f64]]) -> Vec<Vec<f64>> {
+        let mut bins = vec![0u32; rows.len() * self.n_features];
+        for (row, out) in rows.iter().zip(bins.chunks_exact_mut(self.n_features)) {
             self.bin_row_into(row, out);
         }
-        bins.chunks_exact(n_features)
-            .map(|bin_row| self.raw_scores_binned(bin_row))
-            .collect()
-    }
-
-    /// [`FlatEnsemble::raw_scores_batch`] sharded over up to `n_threads`
-    /// scoped worker threads.
-    ///
-    /// Rows are split into contiguous chunks mapped in input order through
-    /// [`crate::parallel::ordered_map`]; each row's scores are computed by
-    /// the same kernel regardless of which chunk it lands in, so the result
-    /// is bit-identical to the single-threaded (and per-row) paths for
-    /// every thread count.
-    pub fn raw_scores_batch_threaded(&self, rows: &[&[f64]], n_threads: usize) -> Vec<Vec<f64>> {
-        if n_threads <= 1 || rows.len() < 2 * MIN_CHUNK {
-            return self.raw_scores_batch(rows);
-        }
-        let chunk_len = rows.len().div_ceil(n_threads).max(MIN_CHUNK);
-        let chunks: Vec<&[&[f64]]> = rows.chunks(chunk_len).collect();
-        crate::parallel::ordered_map(&chunks, n_threads, |chunk| self.raw_scores_batch(chunk))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Class probabilities for a batch of rows; bit-identical to calling
-    /// [`Classifier::predict_proba`] per row (see
-    /// [`FlatEnsemble::raw_scores_batch`]).
-    pub fn predict_proba_batch(&self, rows: &[&[f64]]) -> Vec<Vec<f64>> {
-        self.raw_scores_batch(rows)
-            .iter()
-            .map(|scores| softmax(scores))
+        self.accumulate(&bins)
+            .chunks_exact(self.n_classes)
+            .map(|raw| self.probabilities(raw))
             .collect()
     }
 
     /// [`FlatEnsemble::predict_proba_batch`] sharded over up to `n_threads`
-    /// worker threads (see [`FlatEnsemble::raw_scores_batch_threaded`] for
-    /// the determinism argument).
+    /// scoped worker threads.
+    ///
+    /// Rows are split into contiguous chunks mapped in input order through
+    /// [`crate::parallel::ordered_map`]; each row's probabilities are
+    /// computed by the same kernel whichever chunk it lands in, so the
+    /// result is bit-identical to the single-threaded (and per-row) paths
+    /// for every thread count.
     pub fn predict_proba_batch_threaded(&self, rows: &[&[f64]], n_threads: usize) -> Vec<Vec<f64>> {
-        self.raw_scores_batch_threaded(rows, n_threads)
-            .iter()
-            .map(|scores| softmax(scores))
+        if n_threads <= 1 || rows.len() < 2 * MIN_CHUNK {
+            return self.predict_proba_batch(rows);
+        }
+        let chunk_len = rows.len().div_ceil(n_threads).max(MIN_CHUNK);
+        let chunks: Vec<&[&[f64]]> = rows.chunks(chunk_len).collect();
+        crate::parallel::ordered_map(&chunks, n_threads, |chunk| self.predict_proba_batch(chunk))
+            .into_iter()
+            .flatten()
             .collect()
     }
 
@@ -408,15 +457,16 @@ impl FlatEnsemble {
 
     /// Number of interior (split) nodes in the pool.
     pub fn n_split_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
     /// Number of leaves in the pool.
     pub fn n_leaves(&self) -> usize {
-        self.leaf_weight.len()
+        self.leaf_values.len() / self.leaf_width
     }
 
-    /// Number of flattened trees (`rounds * classes`).
+    /// Number of flattened trees (`rounds * classes` for a boosted
+    /// ensemble, the tree count for a forest).
     pub fn n_trees(&self) -> usize {
         self.roots.len()
     }
@@ -428,14 +478,25 @@ impl Classifier for FlatEnsemble {
     }
 
     fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        softmax(&self.raw_scores(row))
+        self.probabilities(&self.raw_scores(row))
     }
+}
+
+/// The bin a split on raw `threshold` compares against: its 1-based index
+/// in the feature's table (`bin <= index` ⟺ `x.is_nan() || x <= threshold`).
+fn threshold_bin(table: &[f64], threshold: f64) -> u32 {
+    let idx = table.partition_point(|&t| t < threshold);
+    debug_assert!(
+        table.get(idx) == Some(&threshold),
+        "every split threshold is in its feature's table"
+    );
+    (idx + 1) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dataset, GbdtConfig, LightGbmConfig};
+    use crate::{Dataset, GbdtConfig, LightGbmConfig, RandomForestConfig};
 
     fn xor_ish_dataset(with_nans: bool) -> Dataset {
         let mut data = Dataset::new(3, 3);
@@ -496,7 +557,7 @@ mod tests {
         for with_nans in [false, true] {
             let data = xor_ish_dataset(with_nans);
             let model = Gbdt::fit(&data, &GbdtConfig::default().with_seed(5)).unwrap();
-            let flat = FlatEnsemble::from_gbdt(&model).expect("bin tables fit u16");
+            let flat = FlatEnsemble::from_gbdt(&model);
             for row in probe_rows() {
                 assert_bit_identical(&model.raw_scores(&row), &flat.raw_scores(&row));
                 assert_bit_identical(&model.predict_proba(&row), &flat.predict_proba(&row));
@@ -506,32 +567,42 @@ mod tests {
     }
 
     #[test]
-    fn flat_lightgbm_binned_traversal_matches_reference_predict_binned() {
+    fn flat_forest_matches_pointer_twin_bit_for_bit() {
+        for with_nans in [false, true] {
+            let data = xor_ish_dataset(with_nans);
+            let config = RandomForestConfig::default().with_trees(30).with_seed(5);
+            let model = RandomForest::fit(&data, &config).unwrap();
+            let flat = FlatEnsemble::from_forest(&model);
+            assert_eq!(flat.n_trees(), 30);
+            for row in probe_rows() {
+                assert_bit_identical(&model.predict_proba(&row), &flat.predict_proba(&row));
+                assert_eq!(model.predict(&row), flat.predict(&row));
+            }
+        }
+    }
+
+    #[test]
+    fn lightgbm_mapper_edges_are_the_bin_tables() {
         let data = xor_ish_dataset(true);
         let model = LightGbm::fit(&data, &LightGbmConfig::default().with_seed(9)).unwrap();
         let flat = FlatEnsemble::from_lightgbm(&model);
         for row in probe_rows() {
-            let bin_row = model.bin_mapper().bin_row(&row);
-            assert_eq!(bin_row, flat.bin_row(&row), "binners agree");
-            let mut tree_idx = 0usize;
-            for round in model.tree_rounds() {
-                for tree in round {
-                    let reference = tree.predict_binned(&bin_row);
-                    let fast = flat.predict_tree(flat.roots[tree_idx], &bin_row);
-                    assert_eq!(reference.to_bits(), fast.to_bits());
-                    tree_idx += 1;
-                }
-            }
-            assert_bit_identical(&model.raw_scores(&row), &flat.raw_scores_binned(&bin_row));
+            let mapper_bins: Vec<u32> = model
+                .bin_mapper()
+                .bin_row(&row)
+                .into_iter()
+                .map(u32::from)
+                .collect();
+            assert_eq!(mapper_bins, flat.bin_row(&row), "binners agree");
         }
     }
 
     #[test]
     fn threshold_quantisation_preserves_raw_split_predicate() {
-        // The invariant behind from_gbdt: for a sorted dedup'd table and a
-        // split on table entry i, `bin(x) <= i + 1  ⟺  x.is_nan() || x <= t_i`.
+        // For a sorted dedup'd table and a split on table entry i,
+        // `bin(x) <= i + 1  ⟺  x.is_nan() || x <= t_i`.
         let table = vec![-3.5, -0.25, 0.0, 1.0, 2.5, 1e12];
-        let binner = FlatBinner::Thresholds(vec![table.clone()]);
+        let flat = FlatEnsemble::empty(vec![table.clone()], 2, 1, Combine::Forest);
         let probes = [
             f64::NAN,
             f64::NEG_INFINITY,
@@ -548,26 +619,56 @@ mod tests {
             f64::INFINITY,
         ];
         for (i, &t) in table.iter().enumerate() {
+            assert_eq!(threshold_bin(&table, t), (i + 1) as u32);
             for &x in &probes {
                 let raw = x.is_nan() || x <= t;
-                let binned = binner.bin(0, x) <= (i + 1) as u16;
+                let binned = flat.bin_row(&[x])[0] <= (i + 1) as u32;
                 assert_eq!(raw, binned, "x={x}, t={t}");
             }
         }
     }
 
     #[test]
-    fn single_leaf_trees_round_trip_through_negative_roots() {
+    fn oversized_threshold_table_addresses_bins_past_u16() {
+        // More distinct thresholds than a u16 bin index can address: the
+        // u32 bins keep every split's predicate exact.
+        let n = usize::from(u16::MAX) + 1_000;
+        let table: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
+        let flat = FlatEnsemble::empty(vec![table.clone()], 2, 1, Combine::Forest);
+        for i in [0, 65_533, 65_534, 65_535, 65_536, n - 1] {
+            let t = table[i];
+            let bin = threshold_bin(&table, t);
+            assert_eq!(bin as usize, i + 1);
+            for x in [t - 0.5, t, t + 0.25, t + 0.5, t + 1.0] {
+                assert_eq!(flat.bin_row(&[x])[0] <= bin, x <= t, "x={x}, t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_leaf_trees_predict_through_leaf_roots() {
         // A constant-label dataset yields trees that never split.
         let mut data = Dataset::new(2, 2);
         for i in 0..20 {
             data.push_row(&[i as f64, 1.0], 0).unwrap();
         }
         data.push_row(&[1000.0, -1.0], 1).unwrap();
-        let model = Gbdt::fit(&data, &GbdtConfig::default().with_seed(3)).unwrap();
-        let flat = FlatEnsemble::from_gbdt(&model).unwrap();
+        let gbdt = Gbdt::fit(&data, &GbdtConfig::default().with_seed(3)).unwrap();
+        let flat = FlatEnsemble::from_gbdt(&gbdt);
+        let mut constant = Dataset::new(2, 2);
+        for i in 0..20 {
+            constant.push_row(&[i as f64, 1.0], 0).unwrap();
+        }
+        let forest =
+            RandomForest::fit(&constant, &RandomForestConfig::default().with_trees(5)).unwrap();
+        let flat_forest = FlatEnsemble::from_forest(&forest);
+        assert_eq!(flat_forest.n_split_nodes(), 0);
         for row in [[0.5, 1.0], [1000.0, -1.0], [f64::NAN, f64::NAN]] {
-            assert_bit_identical(&model.predict_proba(&row), &flat.predict_proba(&row));
+            assert_bit_identical(&gbdt.predict_proba(&row), &flat.predict_proba(&row));
+            assert_bit_identical(
+                &forest.predict_proba(&row),
+                &flat_forest.predict_proba(&row),
+            );
         }
     }
 }

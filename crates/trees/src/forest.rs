@@ -186,6 +186,16 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// Number of input features the forest was fitted on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// The fitted trees in prediction order (flat-form construction).
+    pub(crate) fn trees(&self) -> &[DecisionTree] {
+        &self.trees
+    }
+
     /// Mean of the per-tree feature importances.
     pub fn feature_importance(&self) -> Vec<f64> {
         let mut total = vec![0.0; self.n_features];

@@ -65,6 +65,11 @@ impl BinMapper {
         Self { boundaries }
     }
 
+    /// Per-feature ascending bin edges (flat-form construction).
+    pub(crate) fn boundaries(&self) -> &[Vec<f64>] {
+        &self.boundaries
+    }
+
     /// Number of features the mapper covers.
     pub fn n_features(&self) -> usize {
         self.boundaries.len()

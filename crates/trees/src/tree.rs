@@ -87,8 +87,10 @@ impl TreeConfig {
     }
 }
 
+/// A CART node; crate-visible so [`crate::flat::FlatEnsemble`] can
+/// flatten fitted trees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         proba: Vec<f64>,
     },
@@ -106,7 +108,7 @@ enum Node {
 /// training and prediction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
     n_features: usize,
     n_classes: usize,
     gains: Vec<f64>,
